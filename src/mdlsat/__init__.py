@@ -17,12 +17,10 @@ from .core import (
     SymbolTable,
     Term,
     UndefinedVariableError,
-    cmp_mod,
     eval_constraint,
     eval_system,
     eval_term,
     parse_system,
-    reduce_mod,
     render_system,
     satisfies,
 )
@@ -48,8 +46,6 @@ from .reductions import (
     coloring_to_witness,
     decode_coloring,
     encode_3col,
-    encode_3col_nonstrict,
-    encode_3col_strict,
     parse_dimacs_graph,
     render_dimacs_graph,
     verify_coloring,

@@ -148,19 +148,18 @@ def _render_idl(constraint: idl.IdlConstraint, system: ConstraintSystem, zero_va
 def cmd_solve(args) -> int:
     with open(args.file) as handle:
         system = parse_system(handle.read())
+    started = time.monotonic()
+    # decide before emitting, so a refused run leaves stdout empty
+    if args.oracle:
+        outcome = mdl.brute_force_sat(system, budget=args.budget)
+    else:
+        outcome = mdl.solve(system)
     _emit("instance", args.file)
     _emit("modulus", system.modulus.n)
     _emit("variables", system.num_vars)
     _emit("constraints", len(system.constraints))
     _emit("semantics", "modular")
-
-    started = time.monotonic()
-    if args.oracle:
-        outcome = mdl.brute_force_sat(system, budget=args.budget)
-        _emit("method", "enumeration")
-    else:
-        outcome = mdl.solve(system)
-        _emit("method", "backtracking")
+    _emit("method", "enumeration" if args.oracle else "backtracking")
     _emit("verdict", "SAT" if outcome.sat else "UNSAT")
     _emit("nodes", outcome.stats.nodes)
     if not args.oracle:
@@ -292,6 +291,8 @@ def cmd_gen(args) -> int:
     elif args.kind == "idl-paper":
         text = gen_idl_paper(args.mod if args.mod is not None else 10)
     else:
+        if args.vars < 1 or args.cons < 0 or args.m < 0:
+            raise _UsageError("gen random needs --vars >= 1, --cons >= 0 and --m >= 0")
         text = gen_random(
             args.vars,
             args.cons,

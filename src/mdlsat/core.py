@@ -46,8 +46,6 @@ class ParseError(MdlError):
         super().__init__(where + message)
 
 
-LESS, EQUAL, GREATER = -1, 0, 1
-
 VarId = int
 
 
@@ -66,26 +64,6 @@ class Modulus:
 
     def __str__(self) -> str:
         return str(self.n)
-
-
-def reduce_mod(i: int, modulus: Modulus) -> int:
-    """The unique residue of i in [0, N-1]; correct for negative i."""
-    return i % modulus.n
-
-
-def cmp_mod(i: int, j: int, modulus: Modulus) -> int:
-    """Compare the residues of i and j: LESS, EQUAL or GREATER.
-
-    This is the residue order, not the integer order: cmp_mod(9, 5 + 5, 10)
-    is GREATER because 10 wraps to 0.
-    """
-    a = i % modulus.n
-    b = j % modulus.n
-    if a < b:
-        return LESS
-    if a > b:
-        return GREATER
-    return EQUAL
 
 
 class SymbolTable:

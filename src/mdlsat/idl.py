@@ -3,9 +3,10 @@ procedure with checkable outcomes.
 
 Constraints have the form x - y <= k.  The solver builds a weighted digraph
 (one edge per constraint, plus a zero-weight edge from every variable to a
-distinguished Sink), runs Floyd-Warshall, and either extracts a negative
-cycle -- an unsatisfiability certificate whose inequalities sum to
-0 <= (negative) -- or reads a model off the shortest-path weights to Sink.
+distinguished Sink) and runs single-source Bellman-Ford towards Sink.  It
+either finds a negative cycle -- an unsatisfiability certificate whose
+inequalities sum to 0 <= (negative) -- or reads a model off the shortest-path
+weights to Sink.
 
 ``relax_to_idl`` translates a modular system into this integer form by
 ignoring wraparound.  That reading is deliberately neither sound nor
@@ -17,7 +18,7 @@ All weights are Python integers, so path arithmetic is exact at any size.
 
 from __future__ import annotations
 
-import math
+from collections import deque
 from dataclasses import dataclass, field
 
 from .core import ConstraintSystem, MdlError, Relation, Term, VarId
@@ -69,59 +70,36 @@ class Relaxation:
     zero_name: str | None
 
 
+# x+k REL y+l bounds x - y <= l-k-t (forward) and/or y - x <= k-l-t
+# (backward), where t is 1 for a strict relation and 0 otherwise.
+_FORWARD = {Relation.LE: 0, Relation.LT: 1, Relation.EQ: 0}
+_BACKWARD = {Relation.GE: 0, Relation.GT: 1, Relation.EQ: 0}
+
+
 def relax_to_idl(system: ConstraintSystem) -> Relaxation:
     """Read each modular constraint as a plain integer difference constraint.
 
     x+k <= y+l becomes x-y <= l-k, strict forms tighten the bound by one,
-    equalities split into both directions, and constant comparisons are
-    rewritten against the fresh zero variable.  No range constraints are
-    added: this is the naive integer reading, unsound and incomplete with
-    respect to the wraparound semantics.
+    equalities split into both directions, and a constant right-hand side is
+    a term on the fresh zero variable.  No range constraints are added: this
+    is the naive integer reading, unsound and incomplete with respect to the
+    wraparound semantics.
     """
     zero: VarId | None = None
     zero_name: str | None = None
+    if any(not isinstance(c.rhs, Term) for c in system.constraints):
+        zero = system.num_vars
+        zero_name = "zero"
+        while zero_name in system.symbols:
+            zero_name += "_"
     out: list[IdlConstraint] = []
-
-    def zero_var() -> VarId:
-        nonlocal zero, zero_name
-        if zero is None:
-            zero = system.num_vars
-            name = "zero"
-            while name in system.symbols:
-                name += "_"
-            zero_name = name
-        return zero
-
     for idx, c in enumerate(system.constraints):
         x, k = c.lhs.var, c.lhs.offset
-        rel = c.rel
-        if isinstance(c.rhs, Term):
-            y, l = c.rhs.var, c.rhs.offset
-            if rel is Relation.LE:
-                out.append(IdlConstraint(x, y, l - k, idx))
-            elif rel is Relation.LT:
-                out.append(IdlConstraint(x, y, l - k - 1, idx))
-            elif rel is Relation.GE:
-                out.append(IdlConstraint(y, x, k - l, idx))
-            elif rel is Relation.GT:
-                out.append(IdlConstraint(y, x, k - l - 1, idx))
-            else:
-                out.append(IdlConstraint(x, y, l - k, idx))
-                out.append(IdlConstraint(y, x, k - l, idx))
-        else:
-            const = c.rhs
-            z = zero_var()
-            if rel is Relation.LE:
-                out.append(IdlConstraint(x, z, const - k, idx))
-            elif rel is Relation.LT:
-                out.append(IdlConstraint(x, z, const - k - 1, idx))
-            elif rel is Relation.GE:
-                out.append(IdlConstraint(z, x, k - const, idx))
-            elif rel is Relation.GT:
-                out.append(IdlConstraint(z, x, k - const - 1, idx))
-            else:
-                out.append(IdlConstraint(x, z, const - k, idx))
-                out.append(IdlConstraint(z, x, k - const, idx))
+        y, l = (c.rhs.var, c.rhs.offset) if isinstance(c.rhs, Term) else (zero, c.rhs)
+        if c.rel in _FORWARD:
+            out.append(IdlConstraint(x, y, l - k - _FORWARD[c.rel], idx))
+        if c.rel in _BACKWARD:
+            out.append(IdlConstraint(y, x, k - l - _BACKWARD[c.rel], idx))
     return Relaxation(tuple(out), zero, zero_name)
 
 
@@ -155,116 +133,6 @@ def build_graph(constraints) -> DiffGraph:
     return DiffGraph(tuple(variables) + (SINK,), edges)
 
 
-@dataclass
-class FwResult:
-    """Either a negative cycle or the all-pairs minimal path weights.
-
-    ``dist[i][j]`` follows ``nodes`` order and is math.inf when j is
-    unreachable from i; the diagonal is 0.
-    """
-
-    nodes: tuple
-    dist: list | None
-    neg_cycle: tuple | None
-
-    def weight(self, u, v):
-        i = self.nodes.index(u)
-        j = self.nodes.index(v)
-        return self.dist[i][j]
-
-
-def floyd_warshall(graph: DiffGraph) -> FwResult:
-    """All-pairs shortest paths with negative-cycle extraction.
-
-    Each relaxation records how the improved path decomposes (the two
-    sub-paths joined at the current pivot vertex), so a negative diagonal
-    entry can be expanded back into an actual closed chain of input
-    constraints.  The diagonal is checked after every pivot phase; stopping
-    at the first negative entry keeps the recorded decompositions exact.
-    """
-    nodes = graph.nodes
-    size = len(nodes)
-    index = {u: i for i, u in enumerate(nodes)}
-    inf = math.inf
-    dist = [[inf] * size for _ in range(size)]
-    route = [[None] * size for _ in range(size)]
-    for i in range(size):
-        dist[i][i] = 0
-    for (u, v), (w, c) in graph.edges.items():
-        i, j = index[u], index[v]
-        if w < dist[i][j]:
-            dist[i][j] = w
-            route[i][j] = ("edge", c)
-    for k in range(size):
-        dist_k = dist[k]
-        route_k = route[k]
-        for i in range(size):
-            if i == k:
-                continue
-            d_ik = dist[i][k]
-            if d_ik == inf:
-                continue
-            dist_i = dist[i]
-            route_i = route[i]
-            route_ik = route_i[k]
-            for j in range(size):
-                if j == k:
-                    continue
-                d_kj = dist_k[j]
-                if d_kj == inf:
-                    continue
-                nd = d_ik + d_kj
-                if nd < dist_i[j]:
-                    dist_i[j] = nd
-                    route_i[j] = ("join", route_ik, route_k[j])
-        for v in range(size):
-            if dist[v][v] < 0:
-                walk = _leaves(route[v][v])
-                return FwResult(nodes, None, tuple(_simple_negative_cycle(walk)))
-    return FwResult(nodes, dist, None)
-
-
-def _leaves(node) -> list:
-    """Flatten a recorded path decomposition into its constraint sequence."""
-    out: list = []
-    stack = [node]
-    while stack:
-        item = stack.pop()
-        if item[0] == "edge":
-            out.append(item[1])
-        else:
-            stack.append(item[1])  # popped after item[2]: right side last in
-            stack.append(item[2])
-    out.reverse()
-    return out
-
-
-def _simple_negative_cycle(walk: list) -> list:
-    """Reduce a closed negative-weight chain to a simple negative cycle.
-
-    Excising a closed sub-chain of nonnegative weight keeps the total
-    negative; a negative sub-chain can replace the whole.  Either way the
-    length shrinks, so this terminates with a cycle visiting no vertex twice.
-    The result is rotated to start at its smallest vertex id.
-    """
-    while True:
-        seen: dict = {}
-        for pos, c in enumerate(walk):
-            if c.x in seen:
-                start = seen[c.x]
-                sub = walk[start:pos]
-                if sum(e.k for e in sub) < 0:
-                    walk = sub
-                else:
-                    walk = walk[:start] + walk[pos:]
-                break
-            seen[c.x] = pos
-        else:
-            break
-    first = min(range(len(walk)), key=lambda i: walk[i].x)
-    return walk[first:] + walk[:first]
-
-
 @dataclass(frozen=True)
 class IdlOutcome:
     """SAT with an integer model, or UNSAT with a negative-cycle certificate."""
@@ -279,19 +147,57 @@ def solve_idl(constraints) -> IdlOutcome:
 
     The model sets each variable to its minimal path weight to SINK (with
     Sink at 0); values may be negative.  A variable absent from every
-    constraint does not appear in the model.
+    constraint does not appear in the model.  A certificate is a simple
+    cycle rotated to start at its smallest vertex id.
     """
     constraints = list(constraints)
     try:
         graph = build_graph(constraints)
     except TrivialUnsatError as err:
         return IdlOutcome(False, None, (err.constraint,))
-    result = floyd_warshall(graph)
-    if result.neg_cycle is not None:
-        return IdlOutcome(False, None, result.neg_cycle)
-    sink = len(result.nodes) - 1
-    model = {v: result.dist[i][sink] for i, v in enumerate(result.nodes[:-1])}
-    return IdlOutcome(True, model, None)
+    # FIFO Bellman-Ford from SINK over reversed edges.  parent[u] is the
+    # constraint u - v <= k that gave dist[u] (None for the edge to SINK).
+    into: dict = {}
+    for (u, v), (w, c) in graph.edges.items():
+        into.setdefault(v, []).append((u, w, c))
+    dist = {SINK: 0}
+    parent: dict = {}
+    queue = deque([SINK])
+    queued = {SINK}
+    while queue:
+        v = queue.popleft()
+        queued.discard(v)
+        for u, w, c in into.get(v, ()):
+            d = dist[v] + w
+            if u in dist and d >= dist[u]:
+                continue
+            dist[u] = d
+            parent[u] = c
+            cycle = _parent_cycle(parent, u)
+            if cycle is not None:
+                return IdlOutcome(False, None, cycle)
+            if u not in queued:
+                queued.add(u)
+                queue.append(u)
+    return IdlOutcome(True, {v: dist[v] for v in graph.nodes[:-1]}, None)
+
+
+def _parent_cycle(parent: dict, u) -> tuple | None:
+    """The cycle through u in the parent graph, if u's new parent closed one.
+
+    The parent graph was acyclic before u's parent changed, so the walk from
+    u either reaches SINK or comes back to u; a cycle in the parent graph
+    always has negative weight.
+    """
+    walk = []
+    c = parent[u]
+    while c is not None:
+        walk.append(c)
+        if c.y == u:
+            first = min(range(len(walk)), key=lambda i: walk[i].x)
+            return tuple(walk[first:] + walk[:first])
+        c = parent.get(c.y)
+    return None
 
 
 def check_idl_model(constraints, model: dict) -> bool:

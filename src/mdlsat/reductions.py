@@ -146,14 +146,6 @@ def encode_3col(graph: Graph, modulus: Modulus, variant: Variant) -> tuple[Const
     return system, meta
 
 
-def encode_3col_nonstrict(graph: Graph, modulus: Modulus) -> tuple[ConstraintSystem, EncodingMeta]:
-    return encode_3col(graph, modulus, Variant.NONSTRICT)
-
-
-def encode_3col_strict(graph: Graph, modulus: Modulus) -> tuple[ConstraintSystem, EncodingMeta]:
-    return encode_3col(graph, modulus, Variant.STRICT)
-
-
 def decode_coloring(meta: EncodingMeta, assignment: Assignment) -> Coloring:
     """Color each vertex by the first of its variables at the threshold.
 
@@ -311,6 +303,13 @@ def render_meta(meta: EncodingMeta, symbols: SymbolTable) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _int(text: str, line_no: int) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"expected an integer, got {text!r}", line_no) from None
+
+
 def parse_meta(text: str) -> MetaInfo:
     variant = None
     modulus = None
@@ -329,25 +328,29 @@ def parse_meta(text: str) -> MetaInfo:
                 variant = Variant(parts[1])
             except ValueError:
                 raise ParseError(f"unknown variant {parts[1]!r}", line_no) from None
-            modulus = Modulus(int(parts[3]))
+            modulus = Modulus(_int(parts[3], line_no))
         elif kind == "vertices":
-            n = int(parts[1])
+            if len(parts) != 2:
+                raise ParseError("expected 'vertices <n>'", line_no)
+            n = _int(parts[1], line_no)
         elif kind == "vertex":
             if len(parts) != 5:
                 raise ParseError("expected 'vertex <v> <name0> <name1> <name2>'", line_no)
-            vertex_names[int(parts[1])] = tuple(parts[2:5])
+            vertex_names[_int(parts[1], line_no)] = tuple(parts[2:5])
         elif kind == "edge":
             if len(parts) != 6:
                 raise ParseError("expected 'edge <u> <w> <c> <e> <f>'", line_no)
-            u, w, c = int(parts[1]), int(parts[2]), int(parts[3])
+            u, w, c = (_int(text, line_no) for text in parts[1:4])
+            if c not in (0, 1, 2):
+                raise ParseError(f"color {c} is not 0, 1 or 2", line_no)
             edge_names[((u, w), c)] = (parts[4], parts[5])
         else:
             raise ParseError(f"unrecognized line kind {kind!r}", line_no)
     if variant is None or modulus is None or n is None:
         raise ParseError("meta file is missing its header lines")
     graph = Graph(n, frozenset(edge for edge, c in edge_names))
-    if len(vertex_names) != n:
-        raise ParseError(f"expected {n} vertex lines, found {len(vertex_names)}")
+    if len(vertex_names) != n or not all(0 <= v < n for v in vertex_names):
+        raise ParseError(f"expected one vertex line for each of vertices 0..{n - 1}")
     return MetaInfo(variant, modulus, graph, vertex_names, edge_names)
 
 

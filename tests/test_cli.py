@@ -136,9 +136,10 @@ def test_solve_missing_file(capsys):
 
 def test_solve_oracle_budget_exceeded(tmp_path, capsys):
     path = write(tmp_path, "big.mdl", gen_chain(8))
-    code, _, err = run(capsys, "solve", path, "--oracle", "--budget", "1000")
+    code, out, err = run(capsys, "solve", path, "--oracle", "--budget", "1000")
     assert code == EXIT_USAGE
     assert "budget" in err
+    assert out == ""
 
 
 def test_usage_error_is_exit_1(capsys):
@@ -215,6 +216,29 @@ def test_decode_incomplete_model(tmp_path, capsys):
     assert "lacks values" in err
 
 
+_META = "variant nonstrict mod 16\nvertices 2\nvertex 0 v0_c0 v0_c1 v0_c2\nvertex 1 v1_c0 v1_c1 v1_c2\n"
+
+
+@pytest.mark.parametrize(
+    "meta",
+    [
+        _META.replace("mod 16", "mod abc"),
+        _META.replace("vertices 2", "vertices"),
+        _META + "edge 0 1 5 a b\n",
+        "variant nonstrict mod 16\nvertices 1\nvertex 5 v0_c0 v0_c1 v0_c2\n",
+    ],
+    ids=["modulus-not-integer", "bare-vertices", "edge-color-out-of-range", "vertex-out-of-range"],
+)
+def test_decode_malformed_meta_is_a_usage_error(tmp_path, capsys, meta):
+    meta_path = write(tmp_path, "bad.meta", meta)
+    model_path = write(tmp_path, "model.txt", "v0_c0 = 15\n")
+    code, out, err = run(capsys, "decode", meta_path, model_path)
+    assert code == EXIT_USAGE
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert out == ""
+
+
 # --- gen command ------------------------------------------------------------
 
 
@@ -242,3 +266,11 @@ def test_gen_random_cli_deterministic(capsys):
     _, a, _ = run(capsys, "gen", "random", "--vars", "3", "--cons", "5", "--m", "2", "--mod", "12", "--seed", "7")
     _, b, _ = run(capsys, "gen", "random", "--vars", "3", "--cons", "5", "--m", "2", "--mod", "12", "--seed", "7")
     assert a == b == gen_random(3, 5, 2, 12, 7)
+
+
+@pytest.mark.parametrize("bad", [("--vars", "0"), ("--cons", "-1"), ("--m", "-1")])
+def test_gen_random_rejects_impossible_arguments(capsys, bad):
+    code, out, err = run(capsys, "gen", "random", *bad)
+    assert code == EXIT_USAGE
+    assert err.startswith("error: ")
+    assert out == ""

@@ -1,10 +1,9 @@
+import operator
+
 import pytest
 from hypothesis import given, strategies as st
 
 from mdlsat.core import (
-    EQUAL,
-    GREATER,
-    LESS,
     Constraint,
     ConstraintSystem,
     MdlError,
@@ -15,12 +14,10 @@ from mdlsat.core import (
     SymbolTable,
     Term,
     UndefinedVariableError,
-    cmp_mod,
     eval_constraint,
     eval_system,
     eval_term,
     parse_system,
-    reduce_mod,
     render_system,
 )
 
@@ -32,40 +29,61 @@ def test_modulus_rejects_degenerate_values():
             Modulus(bad)
 
 
+def _holds(text, **values):
+    """Does the single constraint of ``text`` hold under the named values?"""
+    system = parse_system(text)
+    assignment = {system.symbols.id_of(name): value for name, value in values.items()}
+    return eval_constraint(system.constraints[0], assignment, system.modulus)
+
+
 def test_reduce_mod_examples():
-    assert reduce_mod(3, Modulus(10)) == 3
-    assert reduce_mod(-1, Modulus(10)) == 9
-    assert reduce_mod(10, Modulus(10)) == 0
+    modulus = Modulus(10)
+    assert eval_term(Term(0, 3), {0: 0}, modulus) == 3
+    assert eval_term(Term(0, -1), {0: 0}, modulus) == 9
+    assert eval_term(Term(0, 10), {0: 0}, modulus) == 0
+    assert _holds("mod 10\nx = -1\n", x=9)
 
 
 def test_cmp_mod_examples():
     # 9 - 5 reduces to 4, which is below 5
-    assert cmp_mod(4, 5, Modulus(10)) == LESS
+    assert _holds("mod 10\nx - 5 < 5\n", x=9)
     # ... but 9 is not below 5 + 5, which wraps to 0
-    assert cmp_mod(9, 10, Modulus(10)) == GREATER
-    assert cmp_mod(6, 0, Modulus(10)) == GREATER
-    assert cmp_mod(13, 3, Modulus(10)) == EQUAL
+    assert _holds("mod 10\nx > y + 5\n", x=9, y=5)
+    assert _holds("mod 10\nx > 0\n", x=6)
+    assert _holds("mod 10\nx + 10 = 3\n", x=3)
 
 
 def test_subtraction_and_comparison_do_not_commute():
-    # reduce(i - j) <= k can hold while i <= j + k fails
-    assert reduce_mod(9 - 5, Modulus(10)) <= 5
-    assert cmp_mod(9, 5 + 5, Modulus(10)) == GREATER
+    # x - y <= k can hold while x <= y + k fails
+    assert _holds("mod 10\nx - 5 <= 5\n", x=9)
+    assert not _holds("mod 10\nx <= y + 5\n", x=9, y=5)
 
 
 @given(st.integers(), st.integers(min_value=2, max_value=10**6))
 def test_reduce_mod_is_the_canonical_residue(i, n):
-    r = reduce_mod(i, Modulus(n))
+    r = eval_term(Term(0, i), {0: 0}, Modulus(n))
     assert 0 <= r < n
     assert (i - r) % n == 0
+    assert eval_constraint(Constraint(Term(0), Relation.EQ, i), {0: r}, Modulus(n))
+
+
+_RESIDUE_ORDER = {
+    Relation.LE: operator.le,
+    Relation.LT: operator.lt,
+    Relation.EQ: operator.eq,
+    Relation.GE: operator.ge,
+    Relation.GT: operator.gt,
+}
 
 
 @given(st.integers(), st.integers(), st.integers(min_value=2, max_value=10**4))
 def test_cmp_mod_matches_reduced_comparison(i, j, n):
     modulus = Modulus(n)
-    a, b = reduce_mod(i, modulus), reduce_mod(j, modulus)
-    expected = LESS if a < b else GREATER if a > b else EQUAL
-    assert cmp_mod(i, j, modulus) == expected
+    a, b = i % n, j % n
+    for rel, compare in _RESIDUE_ORDER.items():
+        expected = compare(a, b)
+        assert eval_constraint(Constraint(Term(0, i), rel, Term(1, j)), {0: 0, 1: 0}, modulus) == expected
+        assert eval_constraint(Constraint(Term(0, i), rel, j), {0: 0}, modulus) == expected
 
 
 def test_eval_term_examples():

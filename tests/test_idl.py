@@ -1,5 +1,4 @@
 import itertools
-import math
 import random
 
 import pytest
@@ -14,7 +13,6 @@ from mdlsat.idl import (
     build_graph,
     check_idl_cycle,
     check_idl_model,
-    floyd_warshall,
     relax_to_idl,
     solve_idl,
 )
@@ -104,33 +102,6 @@ def test_build_graph_self_loops():
     assert (0, 0) not in g.edges
 
 
-# --- shortest paths ---------------------------------------------------------
-
-
-def test_floyd_warshall_finds_paper_cycle():
-    res = floyd_warshall(build_graph(list(PAPER_CYCLE)))
-    assert res.dist is None
-    assert sum(e.k for e in res.neg_cycle) == -1
-    assert set(res.neg_cycle) == set(PAPER_CYCLE)
-
-
-def test_floyd_warshall_distances_single_edge():
-    # hand-run on the 3-vertex graph: x -> y (-3), both -> Sink (0)
-    res = floyd_warshall(build_graph([c(0, 1, -3)]))
-    assert res.weight(0, SINK) == -3
-    assert res.weight(1, SINK) == 0
-    assert res.weight(0, 1) == -3
-    assert res.weight(1, 0) == math.inf
-
-
-def test_floyd_warshall_unreachable_is_inf():
-    g = build_graph([c(0, 0, 5), c(1, 1, 0), c(2, 2, 1)])
-    res = floyd_warshall(g)
-    for a, b in itertools.permutations((0, 1, 2), 2):
-        assert res.weight(a, b) == math.inf
-        assert res.weight(a, a) == 0
-
-
 # --- decision procedure -----------------------------------------------------
 
 
@@ -185,10 +156,21 @@ def test_outcomes_are_self_certifying(seed):
     out = solve_idl(constraints)
     if out.sat:
         assert check_idl_model(constraints, out.model)
+        # the model is each variable's minimal path weight to Sink: never
+        # positive, and 0 or pinned by a tight constraint x - y <= k
+        for x, value in out.model.items():
+            assert value <= 0
+            assert value == 0 or any(
+                e.x == x and value == out.model[e.y] + e.k for e in constraints
+            )
     else:
         assert check_idl_cycle(out.cycle)
         # certificate constraints all come from the input
         assert set(out.cycle) <= set(constraints)
+        # a simple cycle, rotated to start at its smallest vertex id
+        starts = [e.x for e in out.cycle]
+        assert len(set(starts)) == len(starts)
+        assert starts[0] == min(starts)
 
 
 def test_determinism():

@@ -13,8 +13,6 @@ from mdlsat.reductions import (
     coloring_to_witness,
     decode_coloring,
     encode_3col,
-    encode_3col_nonstrict,
-    encode_3col_strict,
     parse_dimacs_graph,
     parse_meta,
     render_dimacs_graph,
@@ -53,8 +51,8 @@ def test_verify_coloring():
 
 
 def test_encoding_counts_triangle():
-    for encode in (encode_3col_nonstrict, encode_3col_strict):
-        system, meta = encode(K3, Modulus(16))
+    for variant in Variant:
+        system, meta = encode_3col(K3, Modulus(16), variant)
         assert system.num_vars == 27
         assert len(system.constraints) == 36
         assert len(meta.edge_vars) == 9
@@ -62,7 +60,7 @@ def test_encoding_counts_triangle():
 
 def test_encoding_counts_formulas():
     for graph in four_vertex_graphs() + (K3, C5, petersen()):
-        system, meta = encode_3col_nonstrict(graph, Modulus(16))
+        system, meta = encode_3col(graph, Modulus(16), Variant.NONSTRICT)
         e = len(graph.edges)
         assert system.num_vars == 3 * graph.n + 6 * e
         assert len(system.constraints) == 3 * graph.n + 9 * e
@@ -72,28 +70,28 @@ def test_encoding_counts_formulas():
 
 
 def test_encoding_edge_free_graph():
-    system, _ = encode_3col_nonstrict(Graph(1, frozenset()), Modulus(4))
+    system, _ = encode_3col(Graph(1, frozenset()), Modulus(4), Variant.NONSTRICT)
     assert system.num_vars == 3
     assert len(system.constraints) == 3
 
 
 def test_encoding_single_edge_strict():
-    system, _ = encode_3col_strict(Graph.from_edges(2, [(0, 1)]), Modulus(9))
+    system, _ = encode_3col(Graph.from_edges(2, [(0, 1)]), Modulus(9), Variant.STRICT)
     assert system.num_vars == 12
     assert len(system.constraints) == 15
 
 
 def test_encoding_modulus_thresholds():
     with pytest.raises(ModulusTooSmallError):
-        encode_3col_nonstrict(K3, Modulus(3))
+        encode_3col(K3, Modulus(3), Variant.NONSTRICT)
     with pytest.raises(ModulusTooSmallError):
-        encode_3col_strict(K3, Modulus(8))
-    encode_3col_nonstrict(K3, Modulus(4))
-    encode_3col_strict(K3, Modulus(9))
+        encode_3col(K3, Modulus(8), Variant.STRICT)
+    encode_3col(K3, Modulus(4), Variant.NONSTRICT)
+    encode_3col(K3, Modulus(9), Variant.STRICT)
 
 
 def test_strict_encoding_uses_only_small_offsets():
-    system, _ = encode_3col_strict(K4, Modulus(16))
+    system, _ = encode_3col(K4, Modulus(16), Variant.STRICT)
     for c in system.constraints:
         assert c.rel is Relation.LT
         assert c.lhs.offset in (0, 1, 2)
@@ -101,7 +99,7 @@ def test_strict_encoding_uses_only_small_offsets():
 
 
 def test_nonstrict_encoding_shape():
-    system, _ = encode_3col_nonstrict(K4, Modulus(16))
+    system, _ = encode_3col(K4, Modulus(16), Variant.NONSTRICT)
     for c in system.constraints:
         assert c.rel is Relation.LE
         assert c.lhs.offset in (0, 1)
@@ -111,8 +109,8 @@ def test_nonstrict_encoding_shape():
 def test_encoding_is_deterministic():
     from mdlsat.core import render_system
 
-    a, _ = encode_3col_strict(C5, Modulus(16))
-    b, _ = encode_3col_strict(C5, Modulus(16))
+    a, _ = encode_3col(C5, Modulus(16), Variant.STRICT)
+    b, _ = encode_3col(C5, Modulus(16), Variant.STRICT)
     assert render_system(a) == render_system(b)
 
 
@@ -153,7 +151,7 @@ def test_witness_values_single_edge():
     graph = Graph.from_edges(2, [(0, 1)])
     coloring = {0: 0, 1: 1}
     witness = coloring_to_witness(graph, coloring, Modulus(16), Variant.NONSTRICT)
-    system, meta = encode_3col_nonstrict(graph, Modulus(16))
+    system, meta = encode_3col(graph, Modulus(16), Variant.NONSTRICT)
     e0, f0 = meta.edge_vars[((0, 1), 0)]
     assert witness[e0] == 0 and witness[f0] == 15  # color owned by the lower endpoint
     e1, f1 = meta.edge_vars[((0, 1), 1)]
@@ -163,7 +161,7 @@ def test_witness_values_single_edge():
     assert satisfies(system, witness)
 
     witness = coloring_to_witness(graph, coloring, Modulus(16), Variant.STRICT)
-    system, meta = encode_3col_strict(graph, Modulus(16))
+    system, meta = encode_3col(graph, Modulus(16), Variant.STRICT)
     e2, f2 = meta.edge_vars[((0, 1), 2)]
     assert witness[e2] == 7 and witness[f2] == 6
     assert satisfies(system, witness)
@@ -205,8 +203,8 @@ def test_models_decode_to_proper_colorings():
 def test_reduction_matches_exhaustive_colorability_small():
     for graph in (K3, K4, Graph.from_edges(3, [(0, 1)])):
         expected = is_three_colorable(graph)
-        assert solve(encode_3col_nonstrict(graph, Modulus(4))[0]).sat == expected
-        assert solve(encode_3col_strict(graph, Modulus(9))[0]).sat == expected
+        assert solve(encode_3col(graph, Modulus(4), Variant.NONSTRICT)[0]).sat == expected
+        assert solve(encode_3col(graph, Modulus(9), Variant.STRICT)[0]).sat == expected
 
 
 # --- DIMACS -----------------------------------------------------------------
@@ -241,7 +239,7 @@ def test_dimacs_round_trip():
 
 
 def test_meta_round_trip():
-    system, meta = encode_3col_strict(C5, Modulus(16))
+    system, meta = encode_3col(C5, Modulus(16), Variant.STRICT)
     text = render_meta(meta, system.symbols)
     info = parse_meta(text)
     assert info.variant is Variant.STRICT
@@ -254,7 +252,7 @@ def test_meta_round_trip():
 
 
 def test_meta_name_mismatch_detected():
-    system, meta = encode_3col_nonstrict(K3, Modulus(4))
+    system, meta = encode_3col(K3, Modulus(4), Variant.NONSTRICT)
     text = render_meta(meta, system.symbols).replace("v0_c1", "v0_cX")
     with pytest.raises(ParseError):
         restore_encoding(parse_meta(text))
