@@ -58,7 +58,7 @@ def main():
 
     started = time.monotonic()
     outcome = solve(system)
-    print(f"solved in {time.monotonic() - started:.2f}s, {outcome.stats.nodes} nodes: "
+    print(f"solved in {time.monotonic() - started:.2f}s, {outcome.stats.nodes} decisions: "
           f"{'SAT' if outcome.sat else 'UNSAT'}")
 
     reference = direct_coloring(graph)

@@ -27,7 +27,7 @@ def describe(title, text):
         named = {system.symbols.name_of(v): value for v, value in modular.model.items()}
         print(f"  {named}")
     else:
-        print(f"  (searched {modular.stats.nodes} nodes)")
+        print(f"  ({modular.stats.nodes} decisions)")
     print(f"  integer : {'SAT' if integer.sat else 'UNSAT'}", end="")
     if integer.sat:
         print()

@@ -159,12 +159,13 @@ def cmd_solve(args) -> int:
     _emit("variables", system.num_vars)
     _emit("constraints", len(system.constraints))
     _emit("semantics", "modular")
-    _emit("method", "enumeration" if args.oracle else "backtracking")
+    _emit("method", outcome.stats.method)
     _emit("verdict", "SAT" if outcome.sat else "UNSAT")
     _emit("nodes", outcome.stats.nodes)
+    domain = mdl.small_model_bound(system)
     if not args.oracle:
         _emit("conflicts", outcome.stats.conflicts)
-        _emit("domain-size", len(outcome.stats.domain.values))
+        _emit("domain-size", domain.size)
     if outcome.sat:
         model = outcome.model
         if not satisfies(system, model):
@@ -172,8 +173,7 @@ def cmd_solve(args) -> int:
             return EXIT_INTERNAL
         if args.normalize:
             model = mdl.normalize_solution(system, model)
-            allowed = mdl.small_model_bound(system).as_set()
-            if not satisfies(system, model) or not set(model.values()) <= allowed:
+            if not satisfies(system, model) or not all(v in domain for v in model.values()):
                 print("internal error: normalized model fails re-check", file=sys.stderr)
                 return EXIT_INTERNAL
             _emit("normalized", "yes")
@@ -356,7 +356,7 @@ def main(argv=None) -> int:
     except _UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except MdlError as err:

@@ -262,13 +262,21 @@ def _tokenize(body: str, line_no: int) -> list[tuple[str, str, int]]:
     return tokens
 
 
+def _number(token, line_no: int) -> int:
+    """The value of a ``num`` token; too many digits is a syntax error."""
+    try:
+        return int(token[1])
+    except ValueError:
+        raise ParseError(f"number with {len(token[1])} digits is too long", line_no, token[2]) from None
+
+
 def _parse_header(tokens, line_no: int) -> Modulus:
     if len(tokens) == 3 and tokens[1][:2] == ("sign", "-") and tokens[2][0] == "num":
         raise ModulusError(f"line {line_no}: modulus must be >= 2, got -{tokens[2][1]}")
     if len(tokens) != 2 or tokens[1][0] != "num":
         col = tokens[1][2] if len(tokens) > 1 else tokens[0][2]
         raise ParseError("malformed header, expected 'mod <N>'", line_no, col)
-    value = int(tokens[1][1])
+    value = _number(tokens[1], line_no)
     if value < 2:
         raise ModulusError(f"line {line_no}: modulus must be >= 2, got {value}")
     return Modulus(value)
@@ -286,7 +294,7 @@ def _parse_term(tokens, i, symbols: SymbolTable, line_no: int) -> tuple[Term, in
     if i < len(tokens) and tokens[i][0] == "sign":
         if i + 1 >= len(tokens) or tokens[i + 1][0] != "num":
             raise ParseError("expected an unsigned offset after sign", line_no, tokens[i][2])
-        magnitude = int(tokens[i + 1][1])
+        magnitude = _number(tokens[i + 1], line_no)
         offset = -magnitude if tokens[i][1] == "-" else magnitude
         i += 2
     return Term(var, offset), i
@@ -316,7 +324,7 @@ def _parse_constraint(tokens, symbols: SymbolTable, line_no: int) -> Constraint:
             kind, text, col = tokens[i]
         if kind != "num":
             raise ParseError(f"expected a term or constant, got {text!r}", line_no, col)
-        rhs = sign * int(text)
+        rhs = sign * _number(tokens[i], line_no)
         i += 1
     if i != len(tokens):
         raise ParseError(f"trailing input {tokens[i][1]!r}", line_no, tokens[i][2])

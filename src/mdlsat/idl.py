@@ -1,12 +1,20 @@
 """Difference constraints over the integers: a polynomial-time decision
-procedure with checkable outcomes.
+procedure with checkable outcomes, on an incremental engine that the modular
+solver shares.
 
-Constraints have the form x - y <= k.  The solver builds a weighted digraph
-(one edge per constraint, plus a zero-weight edge from every variable to a
-distinguished Sink) and runs single-source Bellman-Ford towards Sink.  It
-either finds a negative cycle -- an unsatisfiability certificate whose
-inequalities sum to 0 <= (negative) -- or reads a model off the shortest-path
-weights to Sink.
+Constraints have the form x - y <= k.  ``DiffEngine`` holds a stack of them
+together with a feasible potential pi (pi[x] - pi[y] <= k on every edge).
+Adding an edge that pi violates runs a Dijkstra repair over reduced costs
+(Cotton & Maler, "Fast and Flexible Difference Constraint Propagation for
+DPLL(T)", SAT 2006): it either lowers pi until every edge holds again, or
+returns the simple negative cycle the new edge closed -- an
+unsatisfiability certificate whose inequalities sum to 0 <= (negative).
+Retracting edges back to a mark keeps pi feasible.
+
+``solve_idl`` builds the graph of ``build_graph`` (one edge per
+constraint, plus a zero-weight edge from every variable to a distinguished
+Sink), adds its constraint edges to an engine once, and reads its model off
+pi, which is then each variable's shortest path weight to Sink.
 
 ``relax_to_idl`` translates a modular system into this integer form by
 ignoring wraparound.  That reading is deliberately neither sound nor
@@ -18,7 +26,7 @@ All weights are Python integers, so path arithmetic is exact at any size.
 
 from __future__ import annotations
 
-from collections import deque
+from bisect import insort
 from dataclasses import dataclass, field
 
 from .core import ConstraintSystem, MdlError, Relation, Term, VarId
@@ -76,6 +84,19 @@ _FORWARD = {Relation.LE: 0, Relation.LT: 1, Relation.EQ: 0}
 _BACKWARD = {Relation.GE: 0, Relation.GT: 1, Relation.EQ: 0}
 
 
+def oriented(rel: Relation, lhs, rhs):
+    """The difference bounds of ``lhs REL rhs`` as (a, b, t) triples.
+
+    Each triple says term a minus term b is at most -t, with t = 1 for a
+    strict relation: LE/LT/EQ give (lhs, rhs, t), GE/GT/EQ give (rhs, lhs, t).
+    The terms are passed through untouched, so callers pick their form.
+    """
+    if rel in _FORWARD:
+        yield lhs, rhs, _FORWARD[rel]
+    if rel in _BACKWARD:
+        yield rhs, lhs, _BACKWARD[rel]
+
+
 def relax_to_idl(system: ConstraintSystem) -> Relaxation:
     """Read each modular constraint as a plain integer difference constraint.
 
@@ -94,12 +115,10 @@ def relax_to_idl(system: ConstraintSystem) -> Relaxation:
             zero_name += "_"
     out: list[IdlConstraint] = []
     for idx, c in enumerate(system.constraints):
-        x, k = c.lhs.var, c.lhs.offset
-        y, l = (c.rhs.var, c.rhs.offset) if isinstance(c.rhs, Term) else (zero, c.rhs)
-        if c.rel in _FORWARD:
-            out.append(IdlConstraint(x, y, l - k - _FORWARD[c.rel], idx))
-        if c.rel in _BACKWARD:
-            out.append(IdlConstraint(y, x, k - l - _BACKWARD[c.rel], idx))
+        lhs = (c.lhs.var, c.lhs.offset)
+        rhs = (c.rhs.var, c.rhs.offset) if isinstance(c.rhs, Term) else (zero, c.rhs)
+        for (a, k), (b, l), t in oriented(c.rel, lhs, rhs):
+            out.append(IdlConstraint(a, b, l - k - t, idx))
     return Relaxation(tuple(out), zero, zero_name)
 
 
@@ -142,6 +161,102 @@ class IdlOutcome:
     cycle: tuple[IdlConstraint, ...] | None
 
 
+class DiffEngine:
+    """A stack of difference constraints with a feasible potential.
+
+    ``pi`` maps every vertex seen so far to an integer such that
+    pi[x] - pi[y] <= k holds for every live edge x - y <= k.  Vertices start
+    at 0 and only ever move down, so pi is the greatest solution <= 0 of the
+    live edges.  Each edge carries an opaque reason that comes back with any
+    cycle it lies on.  Vertices are hashable, and the ones a cycle or a
+    repair meets must also order against each other, as ints do.
+    """
+
+    def __init__(self):
+        self.pi: dict = {}
+        # y -> live edges x - y <= k, as (x, k, constraint, reason): the
+        # edges that a drop of pi[y] can violate
+        self._into: dict = {}
+        self._trail: list = []
+
+    def mark(self) -> int:
+        """A point on the edge stack to ``backtrack`` to later."""
+        return len(self._trail)
+
+    def backtrack(self, mark: int) -> None:
+        """Retract every edge added since ``mark``; pi stays feasible."""
+        trail, into = self._trail, self._into
+        while len(trail) > mark:
+            into[trail.pop()].pop()
+
+    def add(self, c: IdlConstraint, reason=None) -> tuple | None:
+        """Add x - y <= k, or return the negative cycle it would close.
+
+        The cycle is a tuple of (constraint, reason) pairs, a simple closed
+        chain that starts with the edge at its smallest vertex; the new edge
+        is then not added and pi is left as it was.  A self-loop x - x <= k
+        is never stored: it is a cycle of its own when k < 0.
+        """
+        x, y, k = c.x, c.y, c.k
+        if x == y:
+            return ((c, reason),) if k < 0 else None
+        pi = self.pi
+        drop = pi.setdefault(y, 0) + k - pi.setdefault(x, 0)
+        if drop < 0:
+            cycle = self._repair(x, y, drop, (c, reason))
+            if cycle is not None:
+                return cycle
+        into = self._into.get(y)
+        if into is None:
+            into = self._into[y] = []
+        into.append((x, k, c, reason))
+        self._trail.append(y)
+        return None
+
+    def _repair(self, root, stop, drop: int, edge) -> tuple | None:
+        """Dijkstra from root = x over reduced costs k + pi[y] - pi[x] >= 0.
+
+        ``lower[v]`` is how far pi[v] must drop: the new edge forces ``drop``
+        on x, and every edge v - u <= k passes lower[u] plus its reduced cost
+        on to v.  Reaching stop = y with a drop means the path back to x plus
+        the new edge weighs lower[y] < 0 in total: a negative cycle.
+        """
+        pi, into = self.pi, self._into
+        lower = {root: drop}
+        parent = {root: edge}
+        # kept sorted, so pop() gives the largest drop; frontiers stay small,
+        # and bisect, unlike heapq, is already loaded by the CLI's imports
+        frontier = [(-drop, root)]
+        while frontier:
+            d, u = frontier.pop()
+            d = -d
+            if d > lower[u]:
+                continue  # a stale entry; u was settled lower
+            base = d + pi[u]
+            for v, k, c, reason in into.get(u, ()):
+                need = base + k - pi[v]
+                if need < 0 and need < lower.get(v, 0):
+                    if v == stop:
+                        return _close_cycle((c, reason), u, root, parent)
+                    lower[v] = need
+                    parent[v] = (c, reason)
+                    insort(frontier, (-need, v))
+        for v, d in lower.items():
+            pi[v] += d
+        return None
+
+
+def _close_cycle(last, u, root, parent) -> tuple:
+    """The new edge, then ``last`` (into the new edge's y), then parent
+    edges from u back to root, rotated to start at the smallest vertex."""
+    cycle = [parent[root], last]
+    while u != root:
+        cycle.append(parent[u])
+        u = parent[u][0].y
+    first = min(range(len(cycle)), key=lambda i: cycle[i][0].x)
+    return tuple(cycle[first:] + cycle[:first])
+
+
 def solve_idl(constraints) -> IdlOutcome:
     """Decide a list of integer difference constraints.
 
@@ -155,49 +270,14 @@ def solve_idl(constraints) -> IdlOutcome:
         graph = build_graph(constraints)
     except TrivialUnsatError as err:
         return IdlOutcome(False, None, (err.constraint,))
-    # FIFO Bellman-Ford from SINK over reversed edges.  parent[u] is the
-    # constraint u - v <= k that gave dist[u] (None for the edge to SINK).
-    into: dict = {}
-    for (u, v), (w, c) in graph.edges.items():
-        into.setdefault(v, []).append((u, w, c))
-    dist = {SINK: 0}
-    parent: dict = {}
-    queue = deque([SINK])
-    queued = {SINK}
-    while queue:
-        v = queue.popleft()
-        queued.discard(v)
-        for u, w, c in into.get(v, ()):
-            d = dist[v] + w
-            if u in dist and d >= dist[u]:
-                continue
-            dist[u] = d
-            parent[u] = c
-            cycle = _parent_cycle(parent, u)
+    engine = DiffEngine()
+    for _, c in graph.edges.values():
+        # c is None on the edges to SINK: pi only falls from 0, so they hold
+        if c is not None:
+            cycle = engine.add(c)
             if cycle is not None:
-                return IdlOutcome(False, None, cycle)
-            if u not in queued:
-                queued.add(u)
-                queue.append(u)
-    return IdlOutcome(True, {v: dist[v] for v in graph.nodes[:-1]}, None)
-
-
-def _parent_cycle(parent: dict, u) -> tuple | None:
-    """The cycle through u in the parent graph, if u's new parent closed one.
-
-    The parent graph was acyclic before u's parent changed, so the walk from
-    u either reaches SINK or comes back to u; a cycle in the parent graph
-    always has negative weight.
-    """
-    walk = []
-    c = parent[u]
-    while c is not None:
-        walk.append(c)
-        if c.y == u:
-            first = min(range(len(walk)), key=lambda i: walk[i].x)
-            return tuple(walk[first:] + walk[:first])
-        c = parent.get(c.y)
-    return None
+                return IdlOutcome(False, None, tuple(e for e, _ in cycle))
+    return IdlOutcome(True, {v: engine.pi.get(v, 0) for v in graph.nodes[:-1]}, None)
 
 
 def check_idl_model(constraints, model: dict) -> bool:

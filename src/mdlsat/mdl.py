@@ -1,18 +1,23 @@
 """Complete satisfiability for modular difference systems.
 
-The key fact this module builds on: a satisfiable system with p variables
-and largest absolute constant m has a solution whose values all lie within
-B = (2m+1)*p of an end of the residue range.  Candidate values are therefore
-restricted to D = [0,B] u [N-1-B, N-1], which makes exhaustive backtracking
-a complete decision procedure regardless of how large N is.
+Over the integers these constraints are a shortest-path problem; over the
+residues mod N they are NP-complete.  The NP part is which terms wrap:
+with every offset reduced into [0, N), the term x + k is either x + k or
+x + k - N, and one Boolean wrap literal decides which.  ``solve`` searches
+over those literals by conflict-driven clause learning and checks each
+partial assignment on the incremental difference-graph engine of ``idl``,
+so its work depends on the number of literals, not on N.
 
-Three entry points:
+The paper's bound stays here as the result it is: a satisfiable system with
+p variables and largest absolute constant m has a solution whose values all
+lie within B = (2m+1)*p of an end of the residue range.
+
+Entry points:
 
 * ``brute_force_sat`` -- plain enumeration of all N^p assignments, used as an
   independent oracle at desk scale.
-* ``solve`` -- backtracking over the bounded candidate domain, with arc
-  consistency and conflict-directed backjumping for pruning.  Pruning only
-  affects speed; the verdict is determined by the bounded domain.
+* ``solve`` -- CDCL over wrap literals on ``idl.DiffEngine``.
+* ``small_model_bound`` -- the candidate set D = [0,B] u [N-1-B, N-1].
 * ``normalize_solution`` -- rewrites any solution into one inside the bounded
   domain by repeatedly shifting "clusters" (blocks of variables whose values
   sit within 2m of each other) leftward until they pack against each other.
@@ -24,7 +29,6 @@ concurrently on shared inputs.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -36,6 +40,7 @@ from .core import (
     eval_system,
     satisfies,
 )
+from .idl import DiffEngine, IdlConstraint, oriented
 
 #: Synthetic endpoint markers used by cluster analysis; never returned in models.
 V_MIN = -1
@@ -52,10 +57,11 @@ class NotASolutionError(MdlError):
 
 @dataclass(frozen=True)
 class SearchStats:
+    """``nodes`` counts assignments tried by enumeration and decisions by CDCL."""
+
     method: str
     nodes: int
     conflicts: int = 0
-    domain: "DomainBound | None" = None
 
 
 @dataclass(frozen=True)
@@ -71,26 +77,37 @@ class SolveOutcome:
 class DomainBound:
     """Candidate values near the ends of the residue range.
 
-    ``values`` lists the candidates in search order: ascending from 0 through
-    min(B, N-1), then descending from N-1 down to N-1-B, without duplicates.
-    At most min(N, 2B+2) candidates.
+    Membership and size are arithmetic on ``bound`` and ``n``; only
+    ``values`` and ``as_set`` list the candidates, whose count can reach
+    min(N, 2B+2).  ``values`` runs ascending from 0 through min(B, N-1),
+    then descending from N-1 down to N-1-B, without duplicates.
     """
 
     bound: int
-    values: tuple[int, ...]
+    n: int
+
+    @property
+    def values(self) -> tuple[int, ...]:
+        low_end = min(self.bound, self.n - 1)
+        high_start = max(self.n - 1 - self.bound, low_end + 1)
+        return tuple(range(0, low_end + 1)) + tuple(range(self.n - 1, high_start - 1, -1))
 
     def as_set(self) -> frozenset:
         return frozenset(self.values)
 
+    def __contains__(self, value) -> bool:
+        return 0 <= value < self.n and (value <= self.bound or value >= self.n - 1 - self.bound)
+
+    @property
+    def size(self) -> int:
+        """The number of candidates; not ``len``, which caps at sys.maxsize."""
+        return min(self.n, 2 * self.bound + 2)
+
 
 def small_model_bound(system: ConstraintSystem) -> DomainBound:
     """B = (2m+1)*p and the candidate set D = ([0,B] u [N-1-B, N-1]) n [0,N-1]."""
-    n = system.modulus.n
     b = (2 * system.max_abs_constant + 1) * system.num_vars
-    low_end = min(b, n - 1)
-    high_start = max(n - 1 - b, low_end + 1)
-    values = tuple(range(0, low_end + 1)) + tuple(range(n - 1, high_start - 1, -1))
-    return DomainBound(b, values)
+    return DomainBound(b, system.modulus.n)
 
 
 def brute_force_sat(system: ConstraintSystem, budget: int = 10_000_000) -> SolveOutcome:
@@ -125,193 +142,235 @@ def _compile_constraint(c, n: int):
     return lambda vals: holds((vals[x] + k) % n, r)
 
 
+def _wrap_encoding(system: ConstraintSystem):
+    """Wrap literals and edge templates of a system, for ``solve``.
+
+    With 0 <= x < N and k reduced into [0, N), the term x + k evaluates to
+    x + k - N*w for the literal w = [x >= N-k]; a term with k = 0 never
+    wraps and has no literal.  A constant right-hand side r is the term
+    ``zero + (r mod N)`` on the extra vertex ``zero`` = p, which also never
+    wraps.  Literals are numbered in decision order: grouped by variable in
+    id order, and by first occurrence within a variable.
+
+    Returns the literals as (variable, k) pairs, and the constraints'
+    difference edges as templates (a, b, base, la, lb, origin): the edge
+    a - b <= base + N*(w_la - w_lb), where a literal of None contributes 0.
+    """
+    n = system.modulus.n
+    zero = system.num_vars
+    first_seen: dict = {}  # (variable, k) -> first occurrence
+    rows = []
+    for idx, c in enumerate(system.constraints):
+        lhs = (c.lhs.var, c.lhs.offset % n)
+        rhs = (c.rhs.var, c.rhs.offset % n) if isinstance(c.rhs, Term) else (zero, c.rhs % n)
+        for term in (lhs, rhs):
+            if term[1] and term[0] != zero:
+                first_seen.setdefault(term, len(first_seen))
+        rows.append((idx, c.rel, lhs, rhs))
+    literals = sorted(first_seen, key=lambda term: (term[0], first_seen[term]))
+    index = {term: i for i, term in enumerate(literals)}
+    templates = []
+    for idx, rel, lhs, rhs in rows:
+        for (a, ka), (b, kb), t in oriented(rel, lhs, rhs):
+            la, lb = index.get((a, ka)), index.get((b, kb))
+            if la == lb:  # the same term twice: the wraps cancel
+                la = lb = None
+            templates.append((a, b, kb - ka - t, la, lb, idx))
+    return literals, templates
+
+
 def solve(system: ConstraintSystem) -> SolveOutcome:
-    """Decide satisfiability over [0, N-1]^p by bounded backtracking.
+    """Decide satisfiability over [0, N-1]^p by CDCL over wrap literals.
 
-    Variables are decided in id (first occurrence) order; values are tried in
-    the candidate order of ``small_model_bound``.  After each decision an
-    AC-3 pass prunes candidate domains; every pruned value carries the set of
-    decisions responsible for it, so when a domain empties the search jumps
-    straight back to the deepest decision that actually contributed instead
-    of stepping chronologically.  None of this changes the verdict, which is
-    fixed by the bounded candidate domain.
+    Each wrap literal (see ``_wrap_encoding``) fixes whether one term wraps.
+    Under a partial assignment the system is a set of integer difference
+    constraints on ``DiffEngine``: the bounds 0 <= x <= N-1 against the
+    zero vertex, x >= N-k for a true literal and x <= N-k-1 for a false one,
+    and each constraint's edges once all of its literals are set.  A
+    negative cycle names the literals behind its edges; their negation is
+    learned as a clause (first unique implication point), watched by two
+    literals, and the search jumps back to where it becomes unit.
 
-    Worst-case time is exponential in the variable count, and the support
-    tables take memory quadratic in the candidate count (at most 2B+2 values,
-    so large moduli only cost via large offsets times many variables).
+    Decisions follow the literal numbering and try "no wrap" first; there
+    are no restarts, so runs are deterministic.  The model is each
+    variable's potential relative to the zero vertex, re-checked against
+    the system before it is returned.  Worst-case time is exponential in
+    the number of literals, and independent of N.
     """
     n = system.modulus.n
     p = system.num_vars
-    domain = small_model_bound(system)
-    cand = domain.values
-    d = len(cand)
-    full = (1 << d) - 1
+    zero = p
+    literals, templates = _wrap_encoding(system)
+    engine = DiffEngine()
+    by_literal: list = [[] for _ in literals]
+    for v in range(p):
+        engine.add(IdlConstraint(zero, v, 0), ())
+        engine.add(IdlConstraint(v, zero, n - 1), ())
+    for a, b, base, la, lb, origin in templates:
+        if la is None and lb is None:
+            if engine.add(IdlConstraint(a, b, base, origin), ()) is not None:
+                return SolveOutcome(False, None, SearchStats("cdcl", 0, 1))
+        for i in (la, lb):
+            if i is not None:
+                by_literal[i].append((a, b, base, la, lb, origin))
 
-    # Compile constraints: unary ones filter a variable's initial candidates;
-    # binary ones become support masks over candidate indices, merged per
-    # unordered variable pair.
-    unary = [full] * p
-    pair_constraints: dict = {}
-    for c in system.constraints:
-        x, k = c.lhs.var, c.lhs.offset
-        if isinstance(c.rhs, Term):
-            y, l = c.rhs.var, c.rhs.offset
-            if x == y:
-                mask = 0
-                for i, u in enumerate(cand):
-                    if c.rel.holds((u + k) % n, (u + l) % n):
-                        mask |= 1 << i
-                unary[x] &= mask
-            else:
-                key = (x, y) if x < y else (y, x)
-                pair_constraints.setdefault(key, []).append(c)
-        else:
-            r = c.rhs % n
-            mask = 0
-            for i, u in enumerate(cand):
-                if c.rel.holds((u + k) % n, r):
-                    mask |= 1 << i
-            unary[x] &= mask
-
-    arc_table: dict = {}  # (target, source) -> per-target-value support masks
-    neighbors: list = [[] for _ in range(p)]
-    for (a, b), cons in pair_constraints.items():
-        t_ab = [0] * d
-        for ia, ua in enumerate(cand):
-            mask = 0
-            for ib, ub in enumerate(cand):
-                ok = True
-                for c in cons:
-                    u = ua if c.lhs.var == a else ub
-                    w = ua if c.rhs.var == a else ub
-                    if not c.rel.holds((u + c.lhs.offset) % n, (w + c.rhs.offset) % n):
-                        ok = False
-                        break
-                if ok:
-                    mask |= 1 << ib
-            t_ab[ia] = mask
-        t_ba = [0] * d
-        for ia in range(d):
-            rest = t_ab[ia]
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                t_ba[low.bit_length() - 1] |= 1 << ia
-        arc_table[(a, b)] = t_ab
-        arc_table[(b, a)] = t_ba
-        neighbors[a].append(b)
-        neighbors[b].append(a)
-
-    dom = list(unary)
-    reasons: list = [dict() for _ in range(p)]  # removed index -> decision bitmask
+    # A literal is 2*i + value: value 1 says term i wraps, 0 that it does not.
+    value: list = [None] * len(literals)
+    level = [0] * len(literals)
+    reason: list = [None] * len(literals)  # index into clauses; None for decisions
+    position = [0] * len(literals)
     trail: list = []
-    nodes = 0
-    conflicts = 0
+    trail_lim: list = []  # trail length at each decision
+    edge_lim: list = []  # engine mark at each decision
+    clauses: list = []
+    watches: list = [[] for _ in range(2 * len(literals))]  # literal -> clauses watching it
+    nodes = conflicts = 0
+    qhead = 0
+    next_free = 0
 
-    def agg_reason(v: int) -> int:
-        r = 0
-        for mask in reasons[v].values():
-            r |= mask
-        return r
+    def assign(lit: int, why) -> None:
+        i = lit >> 1
+        value[i] = lit & 1
+        level[i] = len(trail_lim)
+        reason[i] = why
+        position[i] = len(trail)
+        trail.append(lit)
 
-    def propagate(seeds) -> int | None:
-        """AC-3 from the given variables; returns a conflict mask or None."""
-        queue = deque()
-        queued = set()
-        for s in seeds:
-            for t in neighbors[s]:
-                if (t, s) not in queued:
-                    queue.append((t, s))
-                    queued.add((t, s))
-        while queue:
-            t, s = queue.popleft()
-            queued.discard((t, s))
-            table = arc_table[(t, s)]
-            dom_s = dom[s]
-            removed = False
-            rest = dom[t]
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                ti = low.bit_length() - 1
-                support = table[ti]
-                if support & dom_s:
+    def is_false(lit: int) -> bool:
+        v = value[lit >> 1]
+        return v is not None and v != lit & 1
+
+    def add_edge(a, b, k, origin, why) -> list | None:
+        cycle = engine.add(IdlConstraint(a, b, k, origin), why)
+        if cycle is None:
+            return None
+        # the learned clause: not all of the literals behind the cycle's edges
+        return [lit ^ 1 for lit in dict.fromkeys(lit for _, lits in cycle for lit in lits)]
+
+    def theory(lit: int) -> list | None:
+        """Add the edges ``lit`` completes; a conflict comes back as a false clause."""
+        i = lit >> 1
+        x, k = literals[i]
+        if lit & 1:
+            conflict = add_edge(zero, x, k - n, None, (lit,))
+        else:
+            conflict = add_edge(x, zero, n - k - 1, None, (lit,))
+        if conflict is not None:
+            return conflict
+        here = position[i]
+        for a, b, base, la, lb, origin in by_literal[i]:
+            why = []
+            weight = base
+            for j, sign in ((la, n), (lb, -n)):
+                if j is None:
                     continue
-                # every potential support is gone; blame their removals
-                why = 0
-                sm = support
-                while sm:
-                    sl = sm & -sm
-                    sm ^= sl
-                    why |= reasons[s].get(sl.bit_length() - 1, 0)
-                dom[t] &= ~low
-                reasons[t][ti] = why
-                trail.append((t, ti))
-                removed = True
-            if dom[t] == 0:
-                return agg_reason(t)
-            if removed:
-                for u in neighbors[t]:
-                    if u != s and (u, t) not in queued:
-                        queue.append((u, t))
-                        queued.add((u, t))
+                if value[j] is None or position[j] > here:
+                    break  # the later literal adds this edge
+                weight += sign * value[j]
+                why.append(2 * j + value[j])
+            else:
+                conflict = add_edge(a, b, weight, origin, tuple(why))
+                if conflict is not None:
+                    return conflict
         return None
 
-    def undo(mark: int) -> None:
-        while len(trail) > mark:
-            v, i = trail.pop()
-            dom[v] |= 1 << i
-            del reasons[v][i]
+    def unit_propagate(lit: int) -> list | None:
+        """Visit the clauses watching the literal ``lit`` just falsified."""
+        false_lit = lit ^ 1
+        pending = watches[false_lit]
+        watches[false_lit] = kept = []
+        for at, ci in enumerate(pending):
+            clause = clauses[ci]
+            if clause[0] == false_lit:
+                clause[0], clause[1] = clause[1], clause[0]
+            first = clause[0]
+            if value[first >> 1] == first & 1:
+                kept.append(ci)
+                continue
+            for j in range(2, len(clause)):
+                if not is_false(clause[j]):
+                    clause[1], clause[j] = clause[j], clause[1]
+                    watches[clause[1]].append(ci)
+                    break
+            else:
+                kept.append(ci)
+                if is_false(first):
+                    kept.extend(pending[at + 1 :])
+                    return clause
+                assign(first, ci)
+        return None
 
-    if any(dom[v] == 0 for v in range(p)):
-        return SolveOutcome(False, None, SearchStats("backtracking", 0, 0, domain))
-    conflict = propagate(range(p))
-    if conflict is not None:
-        # no decisions made yet, so the conflict is unconditional
-        return SolveOutcome(False, None, SearchStats("backtracking", 0, 1, domain))
+    def analyze(conflict: list) -> list:
+        """First-UIP clause: resolve away all but one current-level literal."""
+        current = len(trail_lim)
+        seen = set()
+        learnt = [None]
+        open_count = 0
+        at = len(trail)
+        lits = conflict
+        while True:
+            for lit in lits:
+                i = lit >> 1
+                if i not in seen and level[i] > 0:
+                    seen.add(i)
+                    if level[i] == current:
+                        open_count += 1
+                    else:
+                        learnt.append(lit)
+            at -= 1
+            while trail[at] >> 1 not in seen:
+                at -= 1
+            uip = trail[at]
+            open_count -= 1
+            if open_count == 0:
+                learnt[0] = uip ^ 1
+                return learnt
+            lits = [lit for lit in clauses[reason[uip >> 1]] if lit != uip]
 
-    pending = [0] * p
-    fail = [0] * p
-    mark = [0] * p
-    level = 0
-    if p:
-        pending[0] = dom[0]
     while True:
-        if level == p:
-            model = {v: cand[dom[v].bit_length() - 1] for v in range(p)}
-            if eval_system(system, model) is not None:
-                raise MdlError("internal error: search produced a non-model")
-            return SolveOutcome(True, model, SearchStats("backtracking", nodes, conflicts, domain))
-        if pending[level] == 0:
-            exhausted = (fail[level] | agg_reason(level)) & ~(1 << level)
-            if exhausted == 0:
-                return SolveOutcome(False, None, SearchStats("backtracking", nodes, conflicts, domain))
-            target = exhausted.bit_length() - 1
-            undo(mark[target])
-            fail[target] |= exhausted & ~(1 << target)
-            level = target
+        conflict = None
+        while conflict is None and qhead < len(trail):
+            lit = trail[qhead]
+            qhead += 1
+            conflict = theory(lit) or unit_propagate(lit)
+        if conflict is not None:
+            conflicts += 1
+            if not trail_lim:
+                return SolveOutcome(False, None, SearchStats("cdcl", nodes, conflicts))
+            learnt = analyze(conflict)
+            back = 0
+            if len(learnt) > 1:
+                top = max(range(1, len(learnt)), key=lambda j: level[learnt[j] >> 1])
+                learnt[1], learnt[top] = learnt[top], learnt[1]
+                back = level[learnt[1] >> 1]
+            cut = trail_lim[back]
+            for lit in trail[cut:]:
+                value[lit >> 1] = None
+                next_free = min(next_free, lit >> 1)
+            del trail[cut:], trail_lim[back:]
+            engine.backtrack(edge_lim[back])
+            del edge_lim[back:]
+            qhead = cut
+            clauses.append(learnt)
+            if len(learnt) > 1:
+                watches[learnt[0]].append(len(clauses) - 1)
+                watches[learnt[1]].append(len(clauses) - 1)
+            assign(learnt[0], len(clauses) - 1)
             continue
-        low = pending[level] & -pending[level]
-        pending[level] ^= low
+        while next_free < len(literals) and value[next_free] is not None:
+            next_free += 1
+        if next_free == len(literals):
+            break
         nodes += 1
-        mark[level] = len(trail)
-        others = dom[level] & ~low
-        while others:
-            ol = others & -others
-            others ^= ol
-            reasons[level][ol.bit_length() - 1] = 1 << level
-            trail.append((level, ol.bit_length() - 1))
-        dom[level] = low
-        conflict = propagate((level,))
-        if conflict is None:
-            level += 1
-            if level < p:
-                pending[level] = dom[level]
-                fail[level] = 0
-            continue
-        conflicts += 1
-        undo(mark[level])
-        fail[level] |= conflict & ~(1 << level)
+        trail_lim.append(len(trail))
+        edge_lim.append(engine.mark())
+        assign(2 * next_free, None)
+
+    pi = engine.pi
+    model = {v: pi[v] - pi[zero] for v in range(p)}
+    if eval_system(system, model) is not None:
+        raise MdlError("internal error: search produced a non-model")
+    return SolveOutcome(True, model, SearchStats("cdcl", nodes, conflicts))
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,12 @@
-"""Shared helpers: small graph corpus and exhaustive coloring oracles."""
+"""Shared helpers: small graph corpus, exhaustive coloring oracles, and a
+wall-clock limit for tests that must fail rather than hang."""
 
 import itertools
+import signal
+from contextlib import contextmanager
 from functools import lru_cache
+
+import pytest
 
 from mdlsat import Graph
 
@@ -42,3 +47,26 @@ def proper_three_colorings(graph: Graph):
 
 def is_three_colorable(graph: Graph) -> bool:
     return next(proper_three_colorings(graph), None) is not None
+
+
+class _Expired(Exception):
+    pass
+
+
+@contextmanager
+def time_limit(seconds: float):
+    """Fail the test once the block has run for ``seconds`` of wall time."""
+
+    def expire(signum, frame):
+        raise _Expired()
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    except _Expired:
+        # no traceback: the interrupted frame can be anywhere, even in C
+        pytest.fail(f"still running after {seconds}s", pytrace=False)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

@@ -1,4 +1,11 @@
+import io
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
 import pytest
+from conftest import is_three_colorable, time_limit
+from hypothesis import given, settings, strategies as st
 
 from mdlsat.cli import (
     EXIT_INTERNAL,
@@ -12,9 +19,18 @@ from mdlsat.cli import (
     gen_random,
     main,
 )
-from mdlsat.core import parse_system
+from mdlsat.core import Modulus, parse_system, render_system, satisfies
 from mdlsat.mdl import small_model_bound
-from mdlsat.reductions import Graph, render_dimacs_graph
+from mdlsat.reductions import (
+    Graph,
+    Variant,
+    encode_3col,
+    parse_dimacs_graph,
+    parse_meta,
+    render_dimacs_graph,
+    render_meta,
+    verify_coloring,
+)
 
 
 def run(capsys, *argv):
@@ -114,6 +130,27 @@ def test_solve_normalize_puts_values_in_domain(tmp_path, capsys):
         assert int(report_value(out, name)) in allowed
 
 
+def test_solve_normalize_big_offset_at_two_to_the_32(tmp_path, capsys):
+    path = write(tmp_path, "big.mdl", f"mod {2**32}\nx + 100000 <= y\n")
+    with time_limit(2.0):
+        code, out, _ = run(capsys, "solve", path, "--normalize")
+    assert code == EXIT_SAT
+    system = parse_system((tmp_path / "big.mdl").read_text())
+    model = {0: int(report_value(out, "x")), 1: int(report_value(out, "y"))}
+    assert satisfies(system, model)
+    assert all(v in small_model_bound(system).as_set() for v in model.values())
+    assert report_value(out, "domain-size") == "800006"
+
+
+def test_solve_domain_size_beyond_machine_integers(tmp_path, capsys):
+    n = 10**30
+    path = write(tmp_path, "huge.mdl", f"mod {n}\nx <= {n - 1}\n")
+    with time_limit(2.0):
+        code, out, _ = run(capsys, "solve", path, "--normalize")
+    assert code == EXIT_SAT
+    assert report_value(out, "domain-size") == str(n)
+
+
 def test_solve_reports_are_byte_stable(tmp_path, capsys):
     path = write(tmp_path, "s.mdl", gen_random(3, 6, 2, 12, 41))
     _, first, _ = run(capsys, "solve", path, "--relax")
@@ -139,6 +176,23 @@ def test_solve_oracle_budget_exceeded(tmp_path, capsys):
     code, out, err = run(capsys, "solve", path, "--oracle", "--budget", "1000")
     assert code == EXIT_USAGE
     assert "budget" in err
+    assert out == ""
+
+
+def test_solve_number_too_long_is_a_parse_error(tmp_path, capsys):
+    path = write(tmp_path, "long.mdl", "mod 1" + "0" * 5000 + "\n")
+    code, out, err = run(capsys, "solve", path)
+    assert code == EXIT_USAGE
+    assert "too long" in err and "Traceback" not in err
+    assert out == ""
+
+
+def test_solve_input_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "bin.mdl"
+    path.write_bytes(b"mod 16\nx <= \xff\n")
+    code, out, err = run(capsys, "solve", str(path))
+    assert code == EXIT_USAGE
+    assert err.startswith("error: ")
     assert out == ""
 
 
@@ -274,3 +328,159 @@ def test_gen_random_rejects_impossible_arguments(capsys, bad):
     assert code == EXIT_USAGE
     assert err.startswith("error: ")
     assert out == ""
+
+
+# --- fuzzing: arbitrary input never crashes, answers always check -------------
+
+
+def call(*argv):
+    """Run the CLI in process; return (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    assert "Traceback" not in err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def model_from_report(report, system):
+    """The ``name = <integer>`` lines of a report that name the system's
+    variables; model lines come last, so they win over report keys."""
+    model = {}
+    for line in report.splitlines():
+        parts = line.split()
+        if len(parts) == 3 and parts[1] == "=" and parts[0] in system.symbols and parts[2].lstrip("-").isdigit():
+            model[system.symbols.id_of(parts[0])] = int(parts[2])
+    return model
+
+
+_NUMBER = st.one_of(st.integers(-(2**33), 2**33).map(str), st.sampled_from(["-0", "+1", "9" * 30]))
+_NAME = st.sampled_from(["x", "y", "z", "mod", "_a1", "verdict", "nodes"])
+_TERM = st.one_of(
+    _NAME,
+    st.builds("{} {} {}".format, _NAME, st.sampled_from("+-"), st.integers(0, 2**33)),
+)
+_CONSTRAINT = st.builds(
+    "{} {} {}".format, _TERM, st.sampled_from(["<=", "<", "=", ">=", ">", "<<"]), st.one_of(_TERM, _NUMBER)
+)
+
+
+@st.composite
+def mdl_texts(draw):
+    """Mostly well-formed constraint files, some with one line of junk."""
+    modulus = draw(st.one_of(st.integers(2, 40), st.just(2**32), _NUMBER))
+    lines = [f"mod {modulus}"] + draw(st.lists(_CONSTRAINT, max_size=6))
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.text(max_size=12)))
+    return "\n".join(lines) + "\n"
+
+
+@given(mdl_texts(), st.sampled_from([(), ("--normalize",), ("--relax",), ("--normalize", "--relax")]))
+@settings(max_examples=150, deadline=None)
+def test_fuzz_solve(text, flags):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.mdl"
+        path.write_text(text)
+        code, out, _ = call("solve", path, *flags)
+    assert code in (EXIT_USAGE, EXIT_SAT, EXIT_UNSAT)
+    if code == EXIT_USAGE:
+        assert out == ""
+        return
+    system = parse_system(text)
+    assert report_value(out, "verdict") == ("SAT" if code == EXIT_SAT else "UNSAT")
+    if code == EXIT_SAT:
+        model = model_from_report(out.split("semantics = integer-relaxation")[0], system)
+        assert len(model) == system.num_vars and satisfies(system, model)
+        if "--normalize" in flags:
+            n, bound = system.modulus.n, small_model_bound(system).bound
+            assert all(v <= bound or v >= n - 1 - bound for v in model.values())
+
+
+@st.composite
+def dimacs_texts(draw):
+    """Graphs on up to 6 vertices in DIMACS form, some with one line corrupted or added."""
+    n = draw(st.integers(0, 6))
+    pairs = [(v, w) for v in range(1, n + 1) for w in range(v + 1, n + 1)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    lines = [f"p edge {n} {len(edges)}"] + [f"e {v} {w}" for v, w in edges]
+    if draw(st.booleans()):
+        junk = draw(st.one_of(
+            st.text(max_size=10),
+            st.builds("e {} {}".format, st.integers(-1, 8), st.integers(-1, 8)),
+            st.builds("p edge {} {}".format, st.integers(-1, 7), st.integers(-1, 16)),
+        ))
+        at = draw(st.integers(0, len(lines) - 1))
+        if draw(st.booleans()):
+            lines[at] = junk
+        else:
+            lines.insert(at, junk)
+    return "\n".join(lines) + "\n"
+
+
+_ENCODINGS = [("nonstrict", 4), ("nonstrict", 2**32), ("strict", 9), ("strict", 16), ("strict", 8)]
+
+
+@given(dimacs_texts(), st.sampled_from(_ENCODINGS))
+@settings(max_examples=150, deadline=None)
+def test_fuzz_reduce_solve_decode(text, encoding):
+    variant, n = encoding
+    with tempfile.TemporaryDirectory() as tmp:
+        graph_path, prefix = Path(tmp) / "g.col", Path(tmp) / "g"
+        graph_path.write_text(text)
+        code, _, _ = call("reduce", graph_path, "--variant", variant, "--mod", n, "--out", prefix)
+        assert code in (EXIT_OK, EXIT_USAGE)
+        if code == EXIT_USAGE:
+            return
+        graph = parse_dimacs_graph(text)
+        code, report, _ = call("solve", f"{prefix}.mdl")
+        assert code == (EXIT_SAT if is_three_colorable(graph) else EXIT_UNSAT)
+        if code == EXIT_UNSAT:
+            return
+        model_path = Path(tmp) / "model.txt"
+        model_path.write_text(report)
+        code, out, _ = call("decode", f"{prefix}.meta", model_path)
+    assert code == EXIT_OK
+    coloring = {int(v): int(c) for _, v, c in (line.split() for line in out.splitlines())}
+    assert verify_coloring(graph, coloring)
+
+
+_JUNK = st.one_of(
+    st.sampled_from(["-1", "0", "1", "2", "3", "5", "99", "abc", "mod", "strict", "nonstrict", "v0_c0", "e0_1_c0"]),
+    st.text(max_size=5),
+)
+
+
+@st.composite
+def mutated_meta(draw):
+    """The sidecar of C5 at N=16 with up to two lines dropped, inserted or altered."""
+    system, meta = encode_3col(Graph.cycle(5), Modulus(16), Variant.NONSTRICT)
+    lines = render_meta(meta, system.symbols).splitlines()
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(lines) - 1))
+        action = draw(st.sampled_from(["drop", "token", "insert"]))
+        parts = lines[at].split()
+        if action == "drop":
+            del lines[at]
+        elif action == "token" and parts:
+            parts[draw(st.integers(0, len(parts) - 1))] = draw(_JUNK)
+            lines[at] = " ".join(parts)
+        else:
+            lines.insert(at, draw(st.text(max_size=10)))
+    return "\n".join(lines) + "\n"
+
+
+@given(mutated_meta(), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_fuzz_decode(meta_text, real_model):
+    system, _ = encode_3col(Graph.cycle(5), Modulus(16), Variant.NONSTRICT)
+    with tempfile.TemporaryDirectory() as tmp:
+        mdl_path, meta_path, model_path = (Path(tmp) / name for name in ("c5.mdl", "c5.meta", "model.txt"))
+        mdl_path.write_text(render_system(system))
+        meta_path.write_text(meta_text)
+        report = call("solve", mdl_path)[1] if real_model else meta_text
+        model_path.write_text(report)
+        code, out, err = call("decode", meta_path, model_path)
+    # exit 2 is the documented answer to a model file that is not a model
+    assert code in (EXIT_OK, EXIT_USAGE) or (code == EXIT_INTERNAL and "does not satisfy" in err)
+    if code == EXIT_OK:
+        coloring = {int(v): int(c) for _, v, c in (line.split() for line in out.splitlines())}
+        assert verify_coloring(parse_meta(meta_text).graph, coloring)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from mdlsat.core import parse_system
 from mdlsat.idl import (
     SINK,
+    DiffEngine,
     DiffGraph,
     IdlConstraint,
     TrivialUnsatError,
@@ -136,6 +137,44 @@ def test_cycle_checker_rejects_broken_chains():
     assert not check_idl_cycle([c(0, 1, -5)])  # not closed
     assert not check_idl_cycle([c(0, 1, 1), c(1, 0, 1)])  # nonnegative total
     assert check_idl_cycle([c(0, 1, -2), c(1, 0, 1)])
+
+
+# --- incremental engine ------------------------------------------------------
+
+
+@given(st.integers(min_value=0, max_value=10**9))
+@settings(max_examples=200, deadline=None)
+def test_engine_add_and_backtrack_keep_a_feasible_potential(seed):
+    rng = random.Random(seed)
+    engine = DiffEngine()
+    live = []  # (engine mark before the add, constraint)
+    marks = [engine.mark()]
+    added = {}  # reason -> constraint
+    for step in range(rng.randint(1, 60)):
+        if live and rng.random() < 0.2:
+            mark = rng.choice([m for m in marks if m <= engine.mark()])
+            engine.backtrack(mark)
+            live = [(m, e) for m, e in live if m < mark]
+        else:
+            new = c(rng.randrange(5), rng.randrange(5), rng.randint(-6, 6))
+            added[step] = new
+            before = engine.mark()
+            cycle = engine.add(new, step)
+            if cycle is None:
+                live.append((before, new))
+            else:
+                edges = [e for e, _ in cycle]
+                assert check_idl_cycle(edges)
+                assert all(added[reason] is e for e, reason in cycle)
+                assert new in edges
+                assert set(edges) - {new} <= {e for _, e in live}
+                starts = [e.x for e in edges]
+                assert len(set(starts)) == len(starts)
+                assert starts[0] == min(starts)
+                assert engine.mark() == before
+            marks.append(engine.mark())
+        pi = engine.pi
+        assert all(pi.get(e.x, 0) - pi.get(e.y, 0) <= e.k for _, e in live)
 
 
 # --- properties -------------------------------------------------------------

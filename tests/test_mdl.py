@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from conftest import is_three_colorable, time_limit
 from hypothesis import given, settings, strategies as st
 
 from mdlsat.cli import gen_chain, gen_idl_paper, gen_random
@@ -26,6 +27,7 @@ from mdlsat.mdl import (
     small_model_bound,
     solve,
 )
+from mdlsat.reductions import Graph, Variant, encode_3col
 
 
 def _intro(n=16):
@@ -94,8 +96,10 @@ def test_small_model_bound_search_order():
 def test_small_model_bound_size_invariant(p, m, n):
     db = small_model_bound(_system_with(p, m, n))
     values = db.as_set()
-    assert len(db.values) == len(values) <= min(n, 2 * db.bound + 2)
+    assert db.size == len(db.values) == len(values) <= min(n, 2 * db.bound + 2)
     assert all(0 <= v < n for v in values)
+    # membership is arithmetic, and agrees with the listed candidates
+    assert {v for v in range(-2, n + 2) if v in db} == values
 
 
 # --- complete solver --------------------------------------------------------
@@ -150,6 +154,73 @@ def test_solve_matches_oracle(seed):
     if out.sat:
         assert satisfies(system, out.model)
         assert set(out.model.values()) <= small_model_bound(system).as_set()
+
+
+def test_solve_k4_at_two_to_the_32_is_unsat_within_two_seconds():
+    system, _ = encode_3col(Graph.complete(4), Modulus(2**32), Variant.NONSTRICT)
+    with time_limit(2.0):
+        out = solve(system)
+    assert not out.sat
+
+
+def test_solve_big_offset_at_two_to_the_32():
+    system = parse_system(f"mod {2**32}\nx + 100000 <= y\n")
+    with time_limit(2.0):
+        out = solve(system)
+    assert out.sat and satisfies(system, out.model)
+
+
+def test_decisions_do_not_depend_on_the_modulus():
+    counts = set()
+    for n in (4, 16, 64, 2**32):
+        system, _ = encode_3col(Graph.complete(4), Modulus(n), Variant.NONSTRICT)
+        with time_limit(2.0):
+            out = solve(system)
+        counts.add((out.sat, out.stats.nodes, out.stats.conflicts))
+    assert len(counts) == 1
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    pairs = [(v, w) for v in range(n) for w in range(v + 1, n)]
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    return Graph(n, frozenset(edges))
+
+
+@given(small_graphs(), st.sampled_from(list(Variant)), st.sampled_from(["min", 16, 2**32]))
+@settings(max_examples=60, deadline=None)
+def test_solve_matches_three_coloring_at_wide_moduli(graph, variant, n):
+    if n == "min":
+        n = 4 if variant is Variant.NONSTRICT else 9
+    system, _ = encode_3col(graph, Modulus(n), variant)
+    out = solve(system)
+    assert out.sat == is_three_colorable(graph)
+    if out.sat:
+        assert satisfies(system, out.model)
+
+
+@given(st.integers(min_value=0, max_value=10**9))
+@settings(max_examples=150, deadline=None)
+def test_solve_matches_oracle_when_terms_wrap(seed):
+    # offsets near 0, near +N and near -N, so that reduced terms wrap
+    rng = random.Random(seed)
+    n = rng.randint(2, 12)
+    p = rng.randint(1, 3)
+
+    def offset():
+        return rng.choice((0, n, -n)) + rng.randint(-2, 2)
+
+    constraints = []
+    for _ in range(rng.randint(1, 6)):
+        lhs = Term(rng.randrange(p), offset())
+        rhs = Term(rng.randrange(p), offset()) if rng.random() < 0.6 else offset()
+        constraints.append(Constraint(lhs, rng.choice(list(Relation)), rhs))
+    system = ConstraintSystem(Modulus(n), SymbolTable(f"x{i}" for i in range(p)), constraints)
+    out = solve(system)
+    assert out.sat == brute_force_sat(system).sat
+    if out.sat:
+        assert satisfies(system, out.model)
 
 
 # --- clusters ---------------------------------------------------------------
