@@ -135,13 +135,6 @@ def _emit_model_residues(system: ConstraintSystem, model) -> None:
         _emit(name, model[system.symbols.id_of(name)])
 
 
-def _render_idl(constraint: idl.IdlConstraint, system: ConstraintSystem, zero_var, zero_name) -> str:
-    def name(v):
-        return zero_name if v == zero_var else system.symbols.name_of(v)
-
-    return f"{name(constraint.x)} - {name(constraint.y)} <= {constraint.k}"
-
-
 # --- subcommands ------------------------------------------------------------
 
 
@@ -213,10 +206,7 @@ def _solve_relaxation(system: ConstraintSystem) -> int | None:
         _emit("cycle-length", len(cycle))
         _emit("cycle-weight", sum(c.k for c in cycle))
         for c in cycle:
-            if c.origin is not None:
-                print(f"core: {render_constraint(system.constraints[c.origin], system.symbols)}")
-            else:
-                print(f"core: {_render_idl(c, system, relaxation.zero_var, relaxation.zero_name)}")
+            print(f"core: {render_constraint(system.constraints[c.origin], system.symbols)}")
     return None
 
 
@@ -258,8 +248,10 @@ def _read_model_lines(text: str, system: ConstraintSystem):
     """Extract ``name = value`` lines for the system's variables.
 
     Solver reports can be fed back verbatim: report keys that are not
-    variables of the system are ignored.
+    variables of the system are ignored.  A value must be a residue in
+    [0, N-1]; the decoder reads colors off the values themselves.
     """
+    n = system.modulus.n
     assignment = {}
     for raw in text.splitlines():
         parts = raw.split()
@@ -269,9 +261,12 @@ def _read_model_lines(text: str, system: ConstraintSystem):
         if name not in system.symbols:
             continue
         try:
-            assignment[system.symbols.id_of(name)] = int(value)
+            value = int(value)
         except ValueError:
             continue
+        if not 0 <= value < n:
+            raise MdlError(f"model value {name} = {value} is outside [0, {n - 1}]")
+        assignment[system.symbols.id_of(name)] = value
     missing = sorted(
         name for name in system.symbols.names if system.symbols.id_of(name) not in assignment
     )

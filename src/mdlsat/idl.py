@@ -11,10 +11,10 @@ returns the simple negative cycle the new edge closed -- an
 unsatisfiability certificate whose inequalities sum to 0 <= (negative).
 Retracting edges back to a mark keeps pi feasible.
 
-``solve_idl`` builds the graph of ``build_graph`` (one edge per
-constraint, plus a zero-weight edge from every variable to a distinguished
-Sink), adds its constraint edges to an engine once, and reads its model off
-pi, which is then each variable's shortest path weight to Sink.
+``solve_idl`` adds the constraints to one engine in input order.  Its model
+is pi, the greatest solution <= 0, which is unique; its certificate is the
+cycle closed by the first constraint at which the input prefix turns
+unsatisfiable.
 
 ``relax_to_idl`` translates a modular system into this integer form by
 ignoring wraparound.  That reading is deliberately neither sound nor
@@ -29,26 +29,7 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass, field
 
-from .core import ConstraintSystem, MdlError, Relation, Term, VarId
-
-
-class _SinkType:
-    __slots__ = ()
-
-    def __repr__(self):
-        return "Sink"
-
-
-#: Auxiliary graph vertex reachable from every variable by a weight-0 edge.
-SINK = _SinkType()
-
-
-class TrivialUnsatError(MdlError):
-    """A constraint x - x <= k with k < 0 is unsatisfiable by itself."""
-
-    def __init__(self, constraint: "IdlConstraint"):
-        self.constraint = constraint
-        super().__init__(f"self-difference with negative bound: {constraint}")
+from .core import ConstraintSystem, Relation, Term, VarId
 
 
 @dataclass(frozen=True)
@@ -75,7 +56,6 @@ class Relaxation:
 
     constraints: tuple[IdlConstraint, ...]
     zero_var: VarId | None
-    zero_name: str | None
 
 
 # x+k REL y+l bounds x - y <= l-k-t (forward) and/or y - x <= k-l-t
@@ -107,49 +87,15 @@ def relax_to_idl(system: ConstraintSystem) -> Relaxation:
     wraparound semantics.
     """
     zero: VarId | None = None
-    zero_name: str | None = None
     if any(not isinstance(c.rhs, Term) for c in system.constraints):
         zero = system.num_vars
-        zero_name = "zero"
-        while zero_name in system.symbols:
-            zero_name += "_"
     out: list[IdlConstraint] = []
     for idx, c in enumerate(system.constraints):
         lhs = (c.lhs.var, c.lhs.offset)
         rhs = (c.rhs.var, c.rhs.offset) if isinstance(c.rhs, Term) else (zero, c.rhs)
         for (a, k), (b, l), t in oriented(c.rel, lhs, rhs):
             out.append(IdlConstraint(a, b, l - k - t, idx))
-    return Relaxation(tuple(out), zero, zero_name)
-
-
-@dataclass
-class DiffGraph:
-    """Weighted digraph over variables plus SINK.
-
-    ``edges`` maps (from, to) to (weight, source constraint or None); at most
-    one edge per ordered pair, keeping the minimum weight (first seen wins
-    ties).  Every variable has a weight-0 edge to SINK.
-    """
-
-    nodes: tuple
-    edges: dict
-
-
-def build_graph(constraints) -> DiffGraph:
-    variables = sorted({c.x for c in constraints} | {c.y for c in constraints})
-    edges: dict = {}
-    for c in constraints:
-        if c.x == c.y:
-            if c.k < 0:
-                raise TrivialUnsatError(c)
-            continue  # x - x <= k with k >= 0 holds vacuously
-        key = (c.x, c.y)
-        current = edges.get(key)
-        if current is None or c.k < current[0]:
-            edges[key] = (c.k, c)
-    for x in variables:
-        edges[(x, SINK)] = (0, None)
-    return DiffGraph(tuple(variables) + (SINK,), edges)
+    return Relaxation(tuple(out), zero)
 
 
 @dataclass(frozen=True)
@@ -260,24 +206,21 @@ def _close_cycle(last, u, root, parent) -> tuple:
 def solve_idl(constraints) -> IdlOutcome:
     """Decide a list of integer difference constraints.
 
-    The model sets each variable to its minimal path weight to SINK (with
-    Sink at 0); values may be negative.  A variable absent from every
-    constraint does not appear in the model.  A certificate is a simple
-    cycle rotated to start at its smallest vertex id.
+    The model is the greatest solution <= 0: each variable's value is 0 or
+    pinned by a tight chain of constraints, and may be negative.  A variable
+    absent from every constraint does not appear in the model.  The
+    certificate is the simple cycle closed by the first constraint at which
+    the input prefix turns unsatisfiable, rotated to start at its smallest
+    vertex id.
     """
-    constraints = list(constraints)
-    try:
-        graph = build_graph(constraints)
-    except TrivialUnsatError as err:
-        return IdlOutcome(False, None, (err.constraint,))
     engine = DiffEngine()
-    for _, c in graph.edges.values():
-        # c is None on the edges to SINK: pi only falls from 0, so they hold
-        if c is not None:
-            cycle = engine.add(c)
-            if cycle is not None:
-                return IdlOutcome(False, None, tuple(e for e, _ in cycle))
-    return IdlOutcome(True, {v: engine.pi.get(v, 0) for v in graph.nodes[:-1]}, None)
+    variables = set()
+    for c in constraints:
+        variables.update((c.x, c.y))
+        cycle = engine.add(c)
+        if cycle is not None:
+            return IdlOutcome(False, None, tuple(e for e, _ in cycle))
+    return IdlOutcome(True, {v: engine.pi.get(v, 0) for v in sorted(variables)}, None)
 
 
 def check_idl_model(constraints, model: dict) -> bool:

@@ -77,23 +77,12 @@ class SolveOutcome:
 class DomainBound:
     """Candidate values near the ends of the residue range.
 
-    Membership and size are arithmetic on ``bound`` and ``n``; only
-    ``values`` and ``as_set`` list the candidates, whose count can reach
-    min(N, 2B+2).  ``values`` runs ascending from 0 through min(B, N-1),
-    then descending from N-1 down to N-1-B, without duplicates.
+    Membership and size are arithmetic on ``bound`` and ``n``; the
+    candidates, whose count can reach min(N, 2B+2), are never listed.
     """
 
     bound: int
     n: int
-
-    @property
-    def values(self) -> tuple[int, ...]:
-        low_end = min(self.bound, self.n - 1)
-        high_start = max(self.n - 1 - self.bound, low_end + 1)
-        return tuple(range(0, low_end + 1)) + tuple(range(self.n - 1, high_start - 1, -1))
-
-    def as_set(self) -> frozenset:
-        return frozenset(self.values)
 
     def __contains__(self, value) -> bool:
         return 0 <= value < self.n and (value <= self.bound or value >= self.n - 1 - self.bound)

@@ -222,6 +222,12 @@ def coloring_to_witness(graph: Graph, coloring: Coloring, modulus: Modulus, vari
 # --- DIMACS edge lists ------------------------------------------------------
 
 
+#: The most vertices ``parse_dimacs_graph`` accepts.  Encoding costs three
+#: variables per vertex, so without a cap a one-line file that declares
+#: millions of vertices would take minutes and gigabytes to encode.
+MAX_VERTICES = 100_000
+
+
 def parse_dimacs_graph(text: str) -> Graph:
     """``p edge n m`` header plus ``e u v`` lines, 1-indexed in the file."""
     n = None
@@ -242,6 +248,8 @@ def parse_dimacs_graph(text: str) -> Graph:
                 raise ParseError("expected 'p edge <n> <m>'", line_no) from None
             if n < 0 or declared < 0:
                 raise ParseError("negative counts in problem line", line_no)
+            if n > MAX_VERTICES:
+                raise ParseError(f"{n} vertices exceed the limit of {MAX_VERTICES}", line_no)
         elif parts[0] == "e":
             if n is None:
                 raise ParseError("edge before problem line", line_no)

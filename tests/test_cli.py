@@ -22,6 +22,7 @@ from mdlsat.cli import (
 from mdlsat.core import Modulus, parse_system, render_system, satisfies
 from mdlsat.mdl import small_model_bound
 from mdlsat.reductions import (
+    MAX_VERTICES,
     Graph,
     Variant,
     encode_3col,
@@ -125,9 +126,9 @@ def test_solve_normalize_puts_values_in_domain(tmp_path, capsys):
     assert code == EXIT_SAT
     assert report_value(out, "normalized") == "yes"
     system = parse_system((tmp_path / "n.mdl").read_text())
-    allowed = small_model_bound(system).as_set()
+    bound = small_model_bound(system)
     for name in ("x", "y"):
-        assert int(report_value(out, name)) in allowed
+        assert int(report_value(out, name)) in bound
 
 
 def test_solve_normalize_big_offset_at_two_to_the_32(tmp_path, capsys):
@@ -138,7 +139,7 @@ def test_solve_normalize_big_offset_at_two_to_the_32(tmp_path, capsys):
     system = parse_system((tmp_path / "big.mdl").read_text())
     model = {0: int(report_value(out, "x")), 1: int(report_value(out, "y"))}
     assert satisfies(system, model)
-    assert all(v in small_model_bound(system).as_set() for v in model.values())
+    assert all(v in small_model_bound(system) for v in model.values())
     assert report_value(out, "domain-size") == "800006"
 
 
@@ -230,6 +231,16 @@ def test_reduce_empty_graph(tmp_path, capsys):
     assert (tmp_path / "empty.mdl").read_text() == "mod 16\n"
 
 
+def test_reduce_rejects_a_vertex_count_over_the_limit(tmp_path, capsys):
+    graph_path = write(tmp_path, "huge.col", f"p edge {MAX_VERTICES + 1} 0\n")
+    with time_limit(2.0):
+        code, out, err = run(capsys, "reduce", graph_path, "--mod", "16", "--out", str(tmp_path / "huge"))
+    assert code == EXIT_USAGE
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "limit" in err
+    assert not (tmp_path / "huge.mdl").exists()
+
+
 def test_reduce_solve_decode_pipeline(tmp_path, capsys):
     graph = Graph.cycle(5)
     graph_path = write(tmp_path, "c5.col", render_dimacs_graph(graph))
@@ -258,6 +269,27 @@ def test_decode_rejects_non_model(tmp_path, capsys):
     code, _, err = run(capsys, "decode", prefix + ".meta", model_path)
     assert code == EXIT_INTERNAL
     assert "does not satisfy" in err
+
+
+@pytest.mark.parametrize("variant", ["nonstrict", "strict"])
+@pytest.mark.parametrize("shift", [16, -16], ids=["plus-n", "minus-n"])
+def test_decode_rejects_values_outside_the_residues(tmp_path, capsys, variant, shift):
+    graph_path = write(tmp_path, "k3.col", render_dimacs_graph(Graph.complete(3)))
+    prefix = str(tmp_path / "k3")
+    run(capsys, "reduce", graph_path, "--variant", variant, "--mod", "16", "--out", prefix)
+    code, solve_out, _ = run(capsys, "solve", prefix + ".mdl")
+    assert code == EXIT_SAT
+    system = parse_system((tmp_path / "k3.mdl").read_text())
+    model = {name: int(report_value(solve_out, name)) for name in system.symbols.names}
+    # the shifted values still satisfy the system, which is read mod N
+    shifted = {system.symbols.id_of(name): value + shift for name, value in model.items()}
+    assert satisfies(system, shifted)
+    text = "".join(f"{name} = {value + shift}\n" for name, value in sorted(model.items()))
+    code, out, err = run(capsys, "decode", prefix + ".meta", write(tmp_path, "shifted.txt", text))
+    assert code == EXIT_USAGE
+    assert err.startswith("error: model value ") and "outside [0, 15]" in err
+    assert "Traceback" not in err
+    assert out == ""
 
 
 def test_decode_incomplete_model(tmp_path, capsys):

@@ -1,17 +1,12 @@
 import itertools
 import random
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from mdlsat.core import parse_system
 from mdlsat.idl import (
-    SINK,
     DiffEngine,
-    DiffGraph,
     IdlConstraint,
-    TrivialUnsatError,
-    build_graph,
     check_idl_cycle,
     check_idl_model,
     relax_to_idl,
@@ -36,7 +31,6 @@ def test_relax_intro_pair():
     z = rel.zero_var
     assert z == 1
     assert rel.constraints == (c(z, 0, 0), c(0, z, -1))
-    assert rel.zero_name == "zero"
 
 
 def test_relax_strict_tightens_by_one():
@@ -54,8 +48,8 @@ def test_relax_equality_splits():
 def test_relax_constant_forms_and_zero_freshness():
     system = parse_system("mod 10\nzero + 1 <= 3\nzero > -2\nzero = 5\n")
     rel = relax_to_idl(system)
-    assert rel.zero_name == "zero_"
     z = rel.zero_var
+    assert z == 1
     assert rel.constraints == (
         c(0, z, 2),
         c(z, 0, 1),
@@ -74,33 +68,6 @@ def test_relax_records_origins():
     system = parse_system("mod 16\nx >= 0\nx + 1 <= 0\n")
     rel = relax_to_idl(system)
     assert [r.origin for r in rel.constraints] == [0, 1]
-
-
-# --- graph construction -----------------------------------------------------
-
-
-def test_build_graph_adds_sink_edges():
-    g = build_graph([c(0, 1, -3)])
-    assert g.nodes == (0, 1, SINK)
-    weights = {key: value[0] for key, value in g.edges.items()}
-    assert weights == {(0, 1): -3, (0, SINK): 0, (1, SINK): 0}
-
-
-def test_build_graph_merges_parallel_edges_by_min_weight():
-    first = c(0, 1, 2)
-    second = c(0, 1, -1)
-    g = build_graph([first, second])
-    assert g.edges[(0, 1)] == (-1, second)
-    # ties keep the earlier constraint
-    g = build_graph([first, c(0, 1, 2)])
-    assert g.edges[(0, 1)][1] is first
-
-
-def test_build_graph_self_loops():
-    with pytest.raises(TrivialUnsatError):
-        build_graph([c(0, 0, -1)])
-    g = build_graph([c(0, 0, 3), c(0, 1, 1)])
-    assert (0, 0) not in g.edges
 
 
 # --- decision procedure -----------------------------------------------------
@@ -123,6 +90,19 @@ def test_solve_idl_single_edge_model():
 def test_solve_idl_empty():
     out = solve_idl([])
     assert out.sat and out.model == {}
+
+
+def test_solve_idl_vacuous_self_loop_keeps_its_variable():
+    assert solve_idl([c(0, 0, 3)]).model == {0: 0}
+    out = solve_idl([c(0, 0, 3), c(0, 1, 1), c(2, 2, 0)])
+    assert out.sat and out.model == {0: 0, 1: 0, 2: 0}
+
+
+def test_solve_idl_parallel_edges_give_the_lightest_edge_model():
+    lightest = solve_idl([c(0, 1, -1)]).model
+    assert lightest == {0: -1, 1: 0}
+    assert solve_idl([c(0, 1, 2), c(0, 1, -1)]).model == lightest
+    assert solve_idl([c(0, 1, -1), c(0, 1, 2), c(0, 1, -1)]).model == lightest
 
 
 def test_solve_idl_trivial_self_loop_certificate():
@@ -195,8 +175,8 @@ def test_outcomes_are_self_certifying(seed):
     out = solve_idl(constraints)
     if out.sat:
         assert check_idl_model(constraints, out.model)
-        # the model is each variable's minimal path weight to Sink: never
-        # positive, and 0 or pinned by a tight constraint x - y <= k
+        # the model is the greatest solution <= 0: never positive, and 0 or
+        # pinned by a tight constraint x - y <= k
         for x, value in out.model.items():
             assert value <= 0
             assert value == 0 or any(
@@ -210,6 +190,10 @@ def test_outcomes_are_self_certifying(seed):
         starts = [e.x for e in out.cycle]
         assert len(set(starts)) == len(starts)
         assert starts[0] == min(starts)
+        # the cycle is closed by the first constraint at which the input
+        # prefix turns unsatisfiable
+        j = max(i for i, e in enumerate(constraints) if any(e is f for f in out.cycle))
+        assert solve_idl(constraints[:j]).sat
 
 
 def test_determinism():

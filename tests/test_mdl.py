@@ -72,20 +72,15 @@ def _system_with(p, m, n):
 def test_small_model_bound_examples():
     db = small_model_bound(_system_with(3, 1, 100))
     assert db.bound == 9
-    assert db.as_set() == set(range(0, 10)) | set(range(90, 100))
+    assert {v for v in range(100) if v in db} == set(range(0, 10)) | set(range(90, 100))
 
     db = small_model_bound(_system_with(2, 0, 10))
     assert db.bound == 2
-    assert db.as_set() == {0, 1, 2, 7, 8, 9}
+    assert {v for v in range(10) if v in db} == {0, 1, 2, 7, 8, 9}
 
     db = small_model_bound(_system_with(3, 2, 8))
     assert db.bound == 15
-    assert db.as_set() == set(range(8))
-
-
-def test_small_model_bound_search_order():
-    db = small_model_bound(_system_with(2, 0, 10))
-    assert db.values == (0, 1, 2, 9, 8, 7)
+    assert {v for v in range(8) if v in db} == set(range(8))
 
 
 @given(
@@ -95,11 +90,10 @@ def test_small_model_bound_search_order():
 )
 def test_small_model_bound_size_invariant(p, m, n):
     db = small_model_bound(_system_with(p, m, n))
-    values = db.as_set()
-    assert db.size == len(db.values) == len(values) <= min(n, 2 * db.bound + 2)
-    assert all(0 <= v < n for v in values)
-    # membership is arithmetic, and agrees with the listed candidates
-    assert {v for v in range(-2, n + 2) if v in db} == values
+    members = {v for v in range(-2, n + 2) if v in db}
+    assert db.size == len(members) <= min(n, 2 * db.bound + 2)
+    # membership is arithmetic, and agrees with [0, B] u [N-1-B, N-1] in range
+    assert members == (set(range(db.bound + 1)) | set(range(n - 1 - db.bound, n))) & set(range(n))
 
 
 # --- complete solver --------------------------------------------------------
@@ -153,7 +147,8 @@ def test_solve_matches_oracle(seed):
     assert out.sat == brute_force_sat(system).sat
     if out.sat:
         assert satisfies(system, out.model)
-        assert set(out.model.values()) <= small_model_bound(system).as_set()
+        bound = small_model_bound(system)
+        assert all(v in bound for v in out.model.values())
 
 
 def test_solve_k4_at_two_to_the_32_is_unsat_within_two_seconds():
@@ -334,8 +329,8 @@ def test_normalize_lands_in_bounded_domain_with_small_gaps():
             continue
         result = normalize_solution(system, out.model)
         assert satisfies(system, result)
-        allowed = small_model_bound(system).as_set()
-        assert set(result.values()) <= allowed
+        bound = small_model_bound(system)
+        assert all(v in bound for v in result.values())
         # on the low side, consecutive distinct values step by at most 2m+1
         m = system.max_abs_constant
         clusters = compute_clusters(system, result)
