@@ -13,6 +13,7 @@ pure, so shared instances are safe to use concurrently.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -133,15 +134,16 @@ class Relation(Enum):
 
     def holds(self, a: int, b: int) -> bool:
         """Does ``a REL b`` hold for residues a, b under the residue order?"""
-        if self is Relation.LE:
-            return a <= b
-        if self is Relation.LT:
-            return a < b
-        if self is Relation.EQ:
-            return a == b
-        if self is Relation.GE:
-            return a >= b
-        return a > b
+        return _RESIDUE_ORDER[self](a, b)
+
+
+_RESIDUE_ORDER = {
+    Relation.LE: operator.le,
+    Relation.LT: operator.lt,
+    Relation.EQ: operator.eq,
+    Relation.GE: operator.ge,
+    Relation.GT: operator.gt,
+}
 
 
 Rhs = Union[Term, int]
@@ -189,17 +191,20 @@ class ConstraintSystem:
 
     def __post_init__(self):
         self.constraints = tuple(self.constraints)
-        self.num_vars = len(self.symbols)
+        n = self.num_vars = len(self.symbols)
         m = 0
         for c in self.constraints:
-            for v in c.variables():
-                if not 0 <= v < self.num_vars:
-                    raise MdlError(f"constraint references unknown variable id {v}")
-            m = max(m, abs(c.lhs.offset))
-            if isinstance(c.rhs, Term):
-                m = max(m, abs(c.rhs.offset))
-            else:
-                m = max(m, abs(c.rhs))
+            lhs, rhs = c.lhs, c.rhs
+            if not 0 <= lhs.var < n:
+                raise MdlError(f"constraint references unknown variable id {lhs.var}")
+            if isinstance(rhs, Term):
+                if not 0 <= rhs.var < n:
+                    raise MdlError(f"constraint references unknown variable id {rhs.var}")
+                rhs = rhs.offset
+            if abs(lhs.offset) > m:
+                m = abs(lhs.offset)
+            if abs(rhs) > m:
+                m = abs(rhs)
         self.max_abs_constant = m
 
 
@@ -234,101 +239,94 @@ def satisfies(system: ConstraintSystem, assignment: Assignment) -> bool:
 
 # --- text format -----------------------------------------------------------
 #
-#   mod <N>                      header, first significant line, N >= 2
-#   <term> <rel> <term|const>    one constraint per line
-#   term  := IDENT | IDENT + UINT | IDENT - UINT
-#   rel   := <= | < | = | >= | >
-#   const := optionally signed decimal integer
+#   header     := 'mod' UINT                 first significant line, N >= 2
+#   constraint := term rel (term | const)   each later significant line
+#   term       := IDENT | IDENT '+' UINT | IDENT '-' UINT
+#   rel        := '<=' | '<' | '=' | '>=' | '>'
+#   const      := UINT | '+' UINT | '-' UINT
+#   IDENT      := [A-Za-z_][A-Za-z0-9_]*, case-sensitive; 'mod' is reserved
+#   UINT       := decimal digits, Unicode digits included
 #
-# '#' starts a comment; blank lines are ignored.  Identifiers are ASCII
-# [A-Za-z_][A-Za-z0-9_]*, case-sensitive; 'mod' is reserved.
+# '#' starts a comment; blank lines are ignored.  Blanks (any Unicode space)
+# between tokens are optional: 'x+3<=y-2' reads as 'x + 3 <= y - 2'.  A line
+# is read in one pass, matching the anchored patterns below in turn, each
+# skipping the blanks before it.  A malformed line, or a number too long for
+# int(), is a ParseError at the first non-blank column no pattern took (one
+# past the end of a line that stops early).  A missing header, or one below
+# 2, is a ModulusError.
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<num>\d+)"
-    r"|(?P<rel><=|>=|<|>|=)|(?P<sign>[+-])|(?P<bad>\S))"
-)
+_TERM = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*)(?:\s*([+-])\s*(\d+))?")
+_REL = re.compile(r"\s*(<=|>=|<|>|=)")
+_CONST = re.compile(r"\s*([+-]?)\s*(\d+)")
+_BLANKS = re.compile(r"\s*")
+_MOD = re.compile(r"\s*mod(?![A-Za-z0-9_])")
+_JUNK = re.compile(r"[^\s\dA-Za-z_<>=+-]")  # a character no token holds
 
 _REL_FROM_TEXT = {r.value: r for r in Relation}
 
 
-def _tokenize(body: str, line_no: int) -> list[tuple[str, str, int]]:
-    tokens = []
-    for m in _TOKEN.finditer(body):
-        kind = m.lastgroup
-        col = m.start(kind) + 1
-        if kind == "bad":
-            raise ParseError(f"unexpected character {m.group(kind)!r}", line_no, col)
-        tokens.append((kind, m.group(kind), col))
-    return tokens
+def _stuck(body: str, pos: int, line_no: int, expected: str) -> ParseError:
+    col = _BLANKS.match(body, pos).end()
+    got = repr(body[col]) if col < len(body) else "end of line"
+    return ParseError(f"expected {expected}, got {got}", line_no, col + 1)
 
 
-def _number(token, line_no: int) -> int:
-    """The value of a ``num`` token; too many digits is a syntax error."""
+def _signed(m: re.Match, group: int, line_no: int) -> int:
+    """The value of the sign in ``group`` followed by the digits in the next group."""
+    digits = m[group + 1]
     try:
-        return int(token[1])
+        value = int(digits)
     except ValueError:
-        raise ParseError(f"number with {len(token[1])} digits is too long", line_no, token[2]) from None
+        raise ParseError(f"number with {len(digits)} digits is too long", line_no, m.start(group + 1) + 1) from None
+    return -value if m[group] == "-" else value
 
 
-def _parse_header(tokens, line_no: int) -> Modulus:
-    if len(tokens) == 3 and tokens[1][:2] == ("sign", "-") and tokens[2][0] == "num":
-        raise ModulusError(f"line {line_no}: modulus must be >= 2, got -{tokens[2][1]}")
-    if len(tokens) != 2 or tokens[1][0] != "num":
-        col = tokens[1][2] if len(tokens) > 1 else tokens[0][2]
-        raise ParseError("malformed header, expected 'mod <N>'", line_no, col)
-    value = _number(tokens[1], line_no)
+def _term(m: re.Match, symbols: SymbolTable, line_no: int) -> Term:
+    if m[1] == "mod":
+        raise ParseError("'mod' is reserved and cannot name a variable", line_no, m.start(1) + 1)
+    var = symbols.intern(m[1])
+    return Term(var) if m[2] is None else Term(var, _signed(m, 2, line_no))
+
+
+def _read_header(body: str, line_no: int) -> Modulus:
+    m = _MOD.match(body)
+    if m is None:
+        junk = _JUNK.search(body)
+        if junk is not None:
+            raise ParseError(f"unexpected character {junk[0]!r}", line_no, junk.start() + 1)
+        raise ModulusError(f"line {line_no}: expected 'mod <N>' header before constraints")
+    n = _CONST.match(body, m.end())
+    if n is None or n[1] == "+":
+        raise _stuck(body, m.end(), line_no, "an unsigned modulus")
+    if _BLANKS.match(body, n.end()).end() != len(body):
+        raise _stuck(body, n.end(), line_no, "end of line")
+    if n[1] == "-":
+        raise ModulusError(f"line {line_no}: modulus must be >= 2, got -{n[2]}")
+    value = _signed(n, 1, line_no)
     if value < 2:
         raise ModulusError(f"line {line_no}: modulus must be >= 2, got {value}")
     return Modulus(value)
 
 
-def _parse_term(tokens, i, symbols: SymbolTable, line_no: int) -> tuple[Term, int]:
-    kind, text, col = tokens[i]
-    if kind != "ident":
-        raise ParseError(f"expected a variable name, got {text!r}", line_no, col)
-    if text == "mod":
-        raise ParseError("'mod' is reserved and cannot name a variable", line_no, col)
-    var = symbols.intern(text)
-    i += 1
-    offset = 0
-    if i < len(tokens) and tokens[i][0] == "sign":
-        if i + 1 >= len(tokens) or tokens[i + 1][0] != "num":
-            raise ParseError("expected an unsigned offset after sign", line_no, tokens[i][2])
-        magnitude = _number(tokens[i + 1], line_no)
-        offset = -magnitude if tokens[i][1] == "-" else magnitude
-        i += 2
-    return Term(var, offset), i
-
-
-def _parse_constraint(tokens, symbols: SymbolTable, line_no: int) -> Constraint:
-    lhs, i = _parse_term(tokens, 0, symbols, line_no)
-    if i >= len(tokens) or tokens[i][0] != "rel":
-        col = tokens[i][2] if i < len(tokens) else tokens[-1][2]
-        got = tokens[i][1] if i < len(tokens) else "end of line"
-        raise ParseError(f"expected a relation, got {got!r}", line_no, col)
-    rel = _REL_FROM_TEXT[tokens[i][1]]
-    i += 1
-    if i >= len(tokens):
-        raise ParseError("expected a term or constant after the relation", line_no, tokens[-1][2])
-    rhs: Rhs
-    kind, text, col = tokens[i]
-    if kind == "ident":
-        rhs, i = _parse_term(tokens, i, symbols, line_no)
+def _read_constraint(body: str, symbols: SymbolTable, line_no: int) -> Constraint:
+    m = _TERM.match(body)
+    if m is None:
+        raise _stuck(body, 0, line_no, "a variable name")
+    lhs = _term(m, symbols, line_no)
+    r = _REL.match(body, m.end())
+    if r is None:
+        raise _stuck(body, m.end(), line_no, "a relation")
+    m = _TERM.match(body, r.end())
+    if m is not None:
+        rhs: Rhs = _term(m, symbols, line_no)
     else:
-        sign = 1
-        if kind == "sign":
-            sign = -1 if text == "-" else 1
-            i += 1
-            if i >= len(tokens) or tokens[i][0] != "num":
-                raise ParseError("expected digits after sign", line_no, col)
-            kind, text, col = tokens[i]
-        if kind != "num":
-            raise ParseError(f"expected a term or constant, got {text!r}", line_no, col)
-        rhs = sign * _number(tokens[i], line_no)
-        i += 1
-    if i != len(tokens):
-        raise ParseError(f"trailing input {tokens[i][1]!r}", line_no, tokens[i][2])
-    return Constraint(lhs, rel, rhs)
+        m = _CONST.match(body, r.end())
+        if m is None:
+            raise _stuck(body, r.end(), line_no, "a term or constant")
+        rhs = _signed(m, 1, line_no)
+    if _BLANKS.match(body, m.end()).end() != len(body):
+        raise _stuck(body, m.end(), line_no, "end of line")
+    return Constraint(lhs, _REL_FROM_TEXT[r[1]], rhs)
 
 
 def parse_system(text: str) -> ConstraintSystem:
@@ -340,13 +338,10 @@ def parse_system(text: str) -> ConstraintSystem:
         body = raw.split("#", 1)[0]
         if not body.strip():
             continue
-        tokens = _tokenize(body, line_no)
         if modulus is None:
-            if tokens[0][:2] != ("ident", "mod"):
-                raise ModulusError(f"line {line_no}: expected 'mod <N>' header before constraints")
-            modulus = _parse_header(tokens, line_no)
-            continue
-        constraints.append(_parse_constraint(tokens, symbols, line_no))
+            modulus = _read_header(body, line_no)
+        else:
+            constraints.append(_read_constraint(body, symbols, line_no))
     if modulus is None:
         raise ModulusError("missing 'mod <N>' header")
     return ConstraintSystem(modulus, symbols, tuple(constraints))

@@ -1,7 +1,11 @@
 import operator
+import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+
+import reference_parser
+from conftest import time_limit
 
 from mdlsat.core import (
     Constraint,
@@ -167,6 +171,74 @@ def test_parse_error_reports_position():
     with pytest.raises(ParseError) as excinfo:
         parse_system("mod 10\nx << y\n")
     assert excinfo.value.line == 2
+    for line, column in (("x << y", 4), ("x <= y z", 8), ("x + y <= z", 3), ("x <= 5y", 7)):
+        with pytest.raises(ParseError) as excinfo:
+            parse_system(f"mod 10\n{line}\n")
+        assert (excinfo.value.line, excinfo.value.column) == (2, column), line
+
+
+_BLANK = st.sampled_from(["", "", " ", "  ", "\t", "\u00a0", "\u2003", "\x1f"])
+_IDENT = st.one_of(
+    st.sampled_from(["x", "y", "mod", "modx", "mod_", "Mod", "x1", "_"]),
+    st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,3}", fullmatch=True),
+)
+_SIGN = st.sampled_from(["+", "-"])
+_DIGITS = st.one_of(
+    st.text(st.characters(categories=("Nd",)), min_size=1, max_size=3),
+    st.sampled_from(["0", "00", "12", "9" * 4301]),
+)
+_REL = st.sampled_from(["<=", "<", "=", ">=", ">"])
+_JUNK = st.one_of(st.sampled_from(["$", "\u00e9", "*", ".", "\u00b2", "#", "=<", "=>"]), st.characters())
+_PIECE = st.one_of(_IDENT, _SIGN, _DIGITS, _REL, _JUNK)
+_HEADER = st.one_of(
+    st.sampled_from(["mod 10", "mod10", "modx 10", "mod 10 20", "mod -x", "mod -5", "mod 1", "mod", "mod \u0663"]),
+    st.builds("mod{}{}{}{}".format, _BLANK, st.sampled_from(["", "+", "-"]), _BLANK, _DIGITS),
+)
+
+
+@st.composite
+def _grammar_line(draw):
+    """A line joined from pieces of the grammar: shaped like a constraint,
+    with a stray piece now and then put inside or after it, or a header, or
+    a run of arbitrary pieces; blanks between the pieces are absent, plain
+    or Unicode."""
+    if draw(st.booleans()):
+        parts = [draw(_IDENT)]
+        if draw(st.booleans()):
+            parts += [draw(_SIGN), draw(_DIGITS)]
+        parts.append(draw(_REL))
+        if draw(st.booleans()):
+            parts.append(draw(_IDENT))
+            if draw(st.booleans()):
+                parts += [draw(_SIGN), draw(_DIGITS)]
+        else:
+            parts += [draw(st.sampled_from(["", "+", "-"])), draw(_DIGITS)]
+        if draw(st.booleans()):
+            parts.insert(draw(st.integers(0, len(parts))), draw(_PIECE))
+        if draw(st.booleans()):
+            parts.append(draw(_PIECE))
+    elif draw(st.booleans()):
+        parts = [draw(_HEADER)]
+    else:
+        parts = draw(st.lists(_PIECE, max_size=6))
+    return "".join(draw(_BLANK) + part for part in parts) + draw(_BLANK)
+
+
+def _parsed(parse, text):
+    """The system read from ``text``, or the error class and where it names."""
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return ParseError, exc.line
+    except ModulusError as exc:
+        return ModulusError, str(exc)  # the message carries the line
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.just("mod 10"), _HEADER, _grammar_line()), st.lists(_grammar_line(), max_size=2))
+def test_parse_agrees_with_the_tokenizer_parser(first, rest):
+    text = "\n".join([first, *rest])
+    assert _parsed(parse_system, text) == _parsed(reference_parser.parse_system, text)
 
 
 def test_parse_comments_blanks_and_spacing():
@@ -265,6 +337,20 @@ def systems(draw):
 def test_parse_render_identity(system):
     again = parse_system(render_system(system))
     assert again == system
+
+
+def test_parse_is_linear_at_ten_thousand_variables():
+    rng = random.Random(7)
+    lines = ["mod 4294967296"]
+    for i in range(40_000):
+        lhs = f"x{i % 10_000} + {rng.randrange(100)}"
+        rhs = f"x{rng.randrange(10_000)} - {rng.randrange(100)}" if i % 2 else str(rng.randrange(-10**6, 10**6))
+        lines.append(f"{lhs} {rng.choice(['<=', '<', '=', '>=', '>'])} {rhs}")
+    text = "\n".join(lines) + "\n"
+    with time_limit(5.0):
+        system = parse_system(text)
+        assert parse_system(render_system(system)) == system
+    assert (system.num_vars, len(system.constraints)) == (10_000, 40_000)
 
 
 def test_system_caches_p_and_m():
