@@ -30,8 +30,6 @@ from .mdl import (
     DomainBound,
     SolveOutcome,
     brute_force_sat,
-    compute_clusters,
-    normalize_solution,
     small_model_bound,
     solve,
 )

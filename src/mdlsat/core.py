@@ -163,11 +163,6 @@ class Constraint:
     rel: Relation
     rhs: Rhs
 
-    def variables(self) -> tuple[VarId, ...]:
-        if isinstance(self.rhs, Term):
-            return (self.lhs.var, self.rhs.var)
-        return (self.lhs.var,)
-
 
 # Assignments map variable ids to residues in [0, N-1].  Solvers produce
 # assignments that are total over a system's variables.

@@ -9,7 +9,8 @@ Adding an edge that pi violates runs a Dijkstra repair over reduced costs
 DPLL(T)", SAT 2006): it either lowers pi until every edge holds again, or
 returns the simple negative cycle the new edge closed -- an
 unsatisfiability certificate whose inequalities sum to 0 <= (negative).
-Retracting edges back to a mark keeps pi feasible.
+Retracting edges back to a mark keeps pi feasible.  ``greatest`` reads the
+greatest solution relative to one vertex off the live edges.
 
 ``solve_idl`` adds the constraints to one engine in input order.  Its model
 is pi, the greatest solution <= 0, which is unique; its certificate is the
@@ -112,10 +113,12 @@ class DiffEngine:
 
     ``pi`` maps every vertex seen so far to an integer such that
     pi[x] - pi[y] <= k holds for every live edge x - y <= k.  Vertices start
-    at 0 and only ever move down, so pi is the greatest solution <= 0 of the
-    live edges.  Each edge carries an opaque reason that comes back with any
-    cycle it lies on.  Vertices are hashable, and the ones a cycle or a
-    repair meets must also order against each other, as ints do.
+    at 0 and only ever move down, and ``backtrack`` leaves pi where it is.
+    So pi is the greatest solution <= 0 of the live edges only while nothing
+    has been retracted, as in ``solve_idl``; after a retraction it is merely
+    feasible.  Each edge carries an opaque reason that comes back with any
+    cycle it lies on.  Vertices are hashable, and the ones a cycle, a repair
+    or ``greatest`` meets must also order against each other, as ints do.
     """
 
     def __init__(self):
@@ -190,6 +193,32 @@ class DiffEngine:
         for v, d in lower.items():
             pi[v] += d
         return None
+
+    def greatest(self, root) -> dict:
+        """The greatest solution with root at 0, on the vertices root reaches.
+
+        Each value is the vertex's shortest-path distance from root along
+        the live edges, where x - y <= k is an edge from y to x.  Dijkstra
+        runs over the reduced costs k + pi[y] - pi[x], which a feasible pi
+        keeps >= 0; a path's reduced length differs from its length by
+        pi[root] - pi[v], which is added back at the end.
+        """
+        pi, into = self.pi, self._into
+        shift = pi.setdefault(root, 0)
+        reduced = {root: 0}
+        frontier = [(0, root)]  # kept sorted by -distance: pop() gives the nearest
+        while frontier:
+            d, u = frontier.pop()
+            d = -d
+            if d > reduced[u]:
+                continue  # a stale entry; u was settled nearer
+            base = d + pi[u]
+            for v, k, _, _ in into.get(u, ()):
+                r = base + k - pi[v]
+                if v not in reduced or r < reduced[v]:
+                    reduced[v] = r
+                    insort(frontier, (-r, v))
+        return {v: r + pi[v] - shift for v, r in reduced.items()}
 
 
 def _close_cycle(last, u, root, parent) -> tuple:

@@ -17,10 +17,8 @@ Entry points:
 * ``brute_force_sat`` -- plain enumeration of all N^p assignments, used as an
   independent oracle at desk scale.
 * ``solve`` -- CDCL over wrap literals on ``idl.DiffEngine``.
-* ``small_model_bound`` -- the candidate set D = [0,B] u [N-1-B, N-1].
-* ``normalize_solution`` -- rewrites any solution into one inside the bounded
-  domain by repeatedly shifting "clusters" (blocks of variables whose values
-  sit within 2m of each other) leftward until they pack against each other.
+* ``small_model_bound`` -- the candidate set D = [0,B] u [N-1-B, N-1], in
+  which every model ``solve`` returns lies.
 
 Search state is local to each call; everything here is safe to invoke
 concurrently on shared inputs.
@@ -30,29 +28,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
 
-from .core import (
-    Assignment,
-    ConstraintSystem,
-    MdlError,
-    Term,
-    eval_system,
-    satisfies,
-)
+from .core import Assignment, ConstraintSystem, MdlError, Term, eval_system
 from .idl import DiffEngine, IdlConstraint, oriented
-
-#: Synthetic endpoint markers used by cluster analysis; never returned in models.
-V_MIN = -1
-V_MAX = -2
 
 
 class BudgetExceededError(MdlError):
     """The requested enumeration is larger than the allowed budget."""
-
-
-class NotASolutionError(MdlError):
-    """normalize_solution was handed an assignment that violates the system."""
 
 
 @dataclass(frozen=True)
@@ -181,10 +163,28 @@ def solve(system: ConstraintSystem) -> SolveOutcome:
     literals, and the search jumps back to where it becomes unit.
 
     Decisions follow the literal numbering and try "no wrap" first; there
-    are no restarts, so runs are deterministic.  The model is each
-    variable's potential relative to the zero vertex, re-checked against
-    the system before it is returned.  Worst-case time is exponential in
-    the number of literals, and independent of N.
+    are no restarts, so runs are deterministic.  Worst-case time is
+    exponential in the number of literals, and independent of N.
+
+    The model is the greatest solution of the final edges with the zero
+    vertex at 0: each variable's shortest-path distance from ``zero``.  It
+    depends only on the final wrap assignment, not on the search history,
+    and it lies in the paper's bounded domain D (``small_model_bound``) by
+    construction:
+
+    * Every edge weight is congruent mod N to some s with |s| <= 2m+1.  A
+      template's base kb - ka - t is congruent to l - k - t for the written
+      offsets k, l (a constant right-hand side counts as l); a literal bound
+      k - N or N-k-1 to k or -k-1; a range bound 0 or N-1 to 0 or -1.
+    * Without negative cycles some shortest path is simple, and a simple
+      path from ``zero`` has at most p edges.  So each value is S + jN with
+      |S| <= (2m+1)*p = B.
+    * The edges zero - x <= 0 and x - zero <= N-1 pin each value into
+      [0, N-1].  So when |S| < N the value is S, in [0, B], for S >= 0, or
+      N+S, in [N-B, N-1], for S < 0; and when |S| >= N, B >= N and D is the
+      whole range.
+
+    The model is re-checked against the system before it is returned.
     """
     n = system.modulus.n
     p = system.num_vars
@@ -355,99 +355,8 @@ def solve(system: ConstraintSystem) -> SolveOutcome:
         edge_lim.append(engine.mark())
         assign(2 * next_free, None)
 
-    pi = engine.pi
-    model = {v: pi[v] - pi[zero] for v in range(p)}
+    greatest = engine.greatest(zero)
+    model = {v: greatest[v] for v in range(p)}
     if eval_system(system, model) is not None:
         raise MdlError("internal error: search produced a non-model")
     return SolveOutcome(True, model, SearchStats("cdcl", nodes, conflicts))
-
-
-@dataclass(frozen=True)
-class Cluster:
-    """A block of variables whose assigned values sit within 2m of each other.
-
-    The domain [lo, hi] pads the occupied value range by m on both sides,
-    clipped to [0, N-1]; distinct clusters have disjoint domains.  Members
-    may include the synthetic endpoints V_MIN (pinned to 0) and V_MAX
-    (pinned to N-1).
-    """
-
-    members: frozenset
-    lo: int
-    hi: int
-
-    def is_inner(self) -> bool:
-        return V_MIN not in self.members and V_MAX not in self.members
-
-
-def compute_clusters(system: ConstraintSystem, assignment: Assignment) -> list[Cluster]:
-    """Partition the variables (plus both synthetic endpoints) into clusters.
-
-    Two variables are linked when their values differ by at most 2m; clusters
-    are the connected components, returned left to right.
-    """
-    n = system.modulus.n
-    m = system.max_abs_constant
-    points = {V_MIN: 0, V_MAX: n - 1}
-    for v in range(system.num_vars):
-        if v not in assignment:
-            raise MdlError(f"assignment is missing variable id {v}")
-        points[v] = assignment[v]
-    order = sorted(points, key=lambda v: (points[v], v))
-    clusters: list[Cluster] = []
-    group = [order[0]]
-    for v in order[1:]:
-        if points[v] - points[group[-1]] <= 2 * m:
-            group.append(v)
-        else:
-            clusters.append(_make_cluster(group, points, m, n))
-            group = [v]
-    clusters.append(_make_cluster(group, points, m, n))
-    return clusters
-
-
-def _make_cluster(group: list, points: dict, m: int, n: int) -> Cluster:
-    lo = max(0, points[group[0]] - m)
-    hi = min(n - 1, points[group[-1]] + m)
-    return Cluster(frozenset(group), lo, hi)
-
-
-def left_pack_steps(system: ConstraintSystem, assignment: Assignment) -> Iterator[Assignment]:
-    """Yield the assignment after each single cluster shift, until packed.
-
-    Each step takes the leftmost inner cluster whose domain is separated from
-    its left neighbor's and shifts it so its domain starts one past that
-    neighbor's right end.  Clusters are recomputed from scratch after every
-    shift.  Each intermediate assignment is still a solution.
-    """
-    current = dict(assignment)
-    while True:
-        clusters = compute_clusters(system, current)
-        for i, cluster in enumerate(clusters):
-            if not cluster.is_inner():
-                continue
-            # i >= 1: the V_MIN cluster owns value 0 and sorts first
-            gap = cluster.lo - (clusters[i - 1].hi + 1)
-            if gap > 0:
-                for v in cluster.members:
-                    current[v] -= gap
-                yield dict(current)
-                break
-        else:
-            return
-
-
-def normalize_solution(system: ConstraintSystem, assignment: Assignment) -> Assignment:
-    """Shift a solution's clusters leftward until every value is in the
-    bounded candidate domain of ``small_model_bound``.
-
-    Raises NotASolutionError when the input does not satisfy the system.
-    """
-    if not satisfies(system, assignment):
-        raise NotASolutionError("input assignment does not satisfy the system")
-    result = dict(assignment)
-    for step in left_pack_steps(system, assignment):
-        result = step
-    if not satisfies(system, result):
-        raise MdlError("internal error: packing broke the solution")
-    return result

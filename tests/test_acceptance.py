@@ -8,11 +8,12 @@ import random
 import time
 from contextlib import contextmanager
 
+from cluster_packing import normalize_solution
 from conftest import four_vertex_graphs, is_three_colorable, petersen, proper_three_colorings
 from mdlsat.cli import gen_chain, gen_intro1, gen_random
 from mdlsat.core import Modulus, parse_system, satisfies
 from mdlsat.idl import IdlConstraint, check_idl_cycle, check_idl_model, relax_to_idl, solve_idl
-from mdlsat.mdl import brute_force_sat, normalize_solution, small_model_bound, solve
+from mdlsat.mdl import brute_force_sat, small_model_bound, solve
 from mdlsat.reductions import Graph, Variant, coloring_to_witness, encode_3col
 
 

@@ -338,11 +338,6 @@ def test_gen_to_stdout_and_file(tmp_path, capsys):
     assert (tmp_path / "o.mdl").read_text() == gen_chain(5)
 
 
-def test_gen_intro2_is_the_chain_example(capsys):
-    _, a, _ = run(capsys, "gen", "intro2", "--mod", "5")
-    assert a == gen_chain(5)
-
-
 def test_gen_chain_requires_mod(capsys):
     code, _, err = run(capsys, "gen", "chain")
     assert code == EXIT_USAGE
@@ -406,7 +401,16 @@ def mdl_texts(draw):
     return "\n".join(lines) + "\n"
 
 
-@given(mdl_texts(), st.sampled_from([(), ("--normalize",), ("--relax",), ("--normalize", "--relax")]))
+_SOLVE_FLAGS = [
+    (),
+    ("--normalize",),
+    ("--relax",),
+    ("--normalize", "--relax"),
+    ("--oracle", "--normalize", "--budget", "100000"),
+]
+
+
+@given(mdl_texts(), st.sampled_from(_SOLVE_FLAGS))
 @settings(max_examples=150, deadline=None)
 def test_fuzz_solve(text, flags):
     with tempfile.TemporaryDirectory() as tmp:

@@ -323,7 +323,7 @@ def systems(draw):
     table = SymbolTable()
     remap = {}
     for c in body:
-        for v in c.variables():
+        for v in (c.lhs.var, c.rhs.var) if isinstance(c.rhs, Term) else (c.lhs.var,):
             if v not in remap:
                 remap[v] = table.intern(symbols.name_of(v))
     remapped = []

@@ -155,6 +155,18 @@ def test_engine_add_and_backtrack_keep_a_feasible_potential(seed):
             marks.append(engine.mark())
         pi = engine.pi
         assert all(pi.get(e.x, 0) - pi.get(e.y, 0) <= e.k for _, e in live)
+        # greatest(root) is the shortest-path distance from root along the
+        # live edges, here by Bellman-Ford: x - y <= k takes y's distance
+        # plus k on to x
+        root = rng.randrange(5)
+        dist = {root: 0}
+        for _ in range(5):
+            for _, e in live:
+                if e.y in dist and (e.x not in dist or dist[e.y] + e.k < dist[e.x]):
+                    dist[e.x] = dist[e.y] + e.k
+        greatest = engine.greatest(root)
+        assert greatest == dist
+        assert all(greatest[e.x] - greatest[e.y] <= e.k for _, e in live if e.y in greatest)
 
 
 # --- properties -------------------------------------------------------------

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from cluster_packing import V_MAX, V_MIN, NotASolutionError, compute_clusters, left_pack_steps, normalize_solution
 from conftest import is_three_colorable, time_limit
 from hypothesis import given, settings, strategies as st
 
@@ -15,18 +16,7 @@ from mdlsat.core import (
     parse_system,
     satisfies,
 )
-from mdlsat.mdl import (
-    V_MAX,
-    V_MIN,
-    BudgetExceededError,
-    NotASolutionError,
-    brute_force_sat,
-    compute_clusters,
-    left_pack_steps,
-    normalize_solution,
-    small_model_bound,
-    solve,
-)
+from mdlsat.mdl import BudgetExceededError, brute_force_sat, small_model_bound, solve
 from mdlsat.reductions import Graph, Variant, encode_3col
 
 
@@ -126,7 +116,7 @@ def test_solve_unconstrained_variables_get_values():
     symbols = SymbolTable(["a", "b"])
     system = ConstraintSystem(Modulus(9), symbols, ())
     out = solve(system)
-    assert out.sat and out.model == {0: 0, 1: 0}
+    assert out.sat and out.model == {0: 8, 1: 8}
 
 
 def test_solve_duplicate_and_same_variable_constraints():
@@ -216,6 +206,29 @@ def test_solve_matches_oracle_when_terms_wrap(seed):
     assert out.sat == brute_force_sat(system).sat
     if out.sat:
         assert satisfies(system, out.model)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_solve_models_lie_in_the_small_model_bound(data):
+    # at these moduli D is a small part of the range, unless an offset near
+    # +N or -N makes m, and with it B, as large as N
+    n = data.draw(st.sampled_from([1000, 2**32, 10**12]))
+    p = data.draw(st.integers(1, 12))
+    centers = [0, n, -n] if data.draw(st.booleans()) else [0]
+    offsets = st.builds(int.__add__, st.sampled_from(centers), st.integers(-3, 3))
+    terms = st.builds(Term, st.integers(0, p - 1), offsets)
+    constraints = data.draw(st.lists(
+        st.builds(Constraint, terms, st.sampled_from(list(Relation)), st.one_of(terms, offsets)),
+        min_size=1,
+        max_size=2 * p,
+    ))
+    system = ConstraintSystem(Modulus(n), SymbolTable(f"x{i}" for i in range(p)), constraints)
+    out = solve(system)
+    if out.sat:
+        assert satisfies(system, out.model)
+        bound = small_model_bound(system)
+        assert all(v in bound for v in out.model.values())
 
 
 # --- clusters ---------------------------------------------------------------
