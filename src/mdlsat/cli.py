@@ -359,6 +359,9 @@ def main(argv=None) -> int:
     except (OSError, UnicodeDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
+    except mdl.SelfCheckError as err:
+        print(err, file=sys.stderr)
+        return EXIT_INTERNAL
     except MdlError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

@@ -60,12 +60,6 @@ class Modulus:
         if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 2:
             raise ModulusError(f"modulus must be an integer >= 2, got {self.n!r}")
 
-    def __int__(self) -> int:
-        return self.n
-
-    def __str__(self) -> str:
-        return str(self.n)
-
 
 class SymbolTable:
     """Bijection between variable names and dense ids 0, 1, 2, ... in intern order."""

@@ -3,19 +3,20 @@ procedure with checkable outcomes, on an incremental engine that the modular
 solver shares.
 
 Constraints have the form x - y <= k.  ``DiffEngine`` holds a stack of them
-together with a feasible potential pi (pi[x] - pi[y] <= k on every edge).
-Adding an edge that pi violates runs a Dijkstra repair over reduced costs
-(Cotton & Maler, "Fast and Flexible Difference Constraint Propagation for
-DPLL(T)", SAT 2006): it either lowers pi until every edge holds again, or
-returns the simple negative cycle the new edge closed -- an
-unsatisfiability certificate whose inequalities sum to 0 <= (negative).
-Retracting edges back to a mark keeps pi feasible.  ``greatest`` reads the
-greatest solution relative to one vertex off the live edges.
+as edges (x, y, k, reason), together with a feasible potential pi
+(pi[x] - pi[y] <= k on every edge).  Adding an edge that pi violates runs a
+Dijkstra repair over reduced costs (Cotton & Maler, "Fast and Flexible
+Difference Constraint Propagation for DPLL(T)", SAT 2006): it either lowers
+pi until every edge holds again, or returns the reasons of the simple
+negative cycle the new edge closed -- an unsatisfiability certificate whose
+inequalities sum to 0 <= (negative).  Retracting edges back to a mark keeps
+pi feasible.  ``greatest`` reads the greatest solution relative to one vertex
+off the live edges, with the same Dijkstra as the repair.
 
-``solve_idl`` adds the constraints to one engine in input order.  Its model
-is pi, the greatest solution <= 0, which is unique; its certificate is the
-cycle closed by the first constraint at which the input prefix turns
-unsatisfiable.
+``solve_idl`` adds the constraints to one engine in input order, each
+constraint its own reason.  Its model is pi, the greatest solution <= 0,
+which is unique; its certificate is the cycle closed by the first constraint
+at which the input prefix turns unsatisfiable.
 
 ``relax_to_idl`` translates a modular system into this integer form by
 ignoring wraparound.  That reading is deliberately neither sound nor
@@ -27,6 +28,7 @@ All weights are Python integers, so path arithmetic is exact at any size.
 
 from __future__ import annotations
 
+import math
 from bisect import insort
 from dataclasses import dataclass, field
 
@@ -42,9 +44,6 @@ class IdlConstraint:
     k: int
     #: index of the source constraint this was translated from, if any
     origin: int | None = field(default=None, compare=False, repr=False)
-
-    def __str__(self):
-        return f"x{self.x} - x{self.y} <= {self.k}"
 
 
 @dataclass(frozen=True)
@@ -109,22 +108,22 @@ class IdlOutcome:
 
 
 class DiffEngine:
-    """A stack of difference constraints with a feasible potential.
+    """A stack of difference edges with a feasible potential.
 
-    ``pi`` maps every vertex seen so far to an integer such that
-    pi[x] - pi[y] <= k holds for every live edge x - y <= k.  Vertices start
-    at 0 and only ever move down, and ``backtrack`` leaves pi where it is.
-    So pi is the greatest solution <= 0 of the live edges only while nothing
-    has been retracted, as in ``solve_idl``; after a retraction it is merely
-    feasible.  Each edge carries an opaque reason that comes back with any
-    cycle it lies on.  Vertices are hashable, and the ones a cycle, a repair
-    or ``greatest`` meets must also order against each other, as ints do.
+    An edge is x - y <= k with an opaque reason, which is all that a cycle
+    through it hands back.  ``pi`` maps every vertex seen so far to an
+    integer such that pi[x] - pi[y] <= k holds for every live edge.
+    Vertices start at 0 and only ever move down, and ``backtrack`` leaves pi
+    where it is.  So pi is the greatest solution <= 0 of the live edges only
+    while nothing has been retracted, as in ``solve_idl``; after a
+    retraction it is merely feasible.  Vertices are hashable, and the ones a
+    search meets must also order against each other, as ints do.
     """
 
     def __init__(self):
         self.pi: dict = {}
-        # y -> live edges x - y <= k, as (x, k, constraint, reason): the
-        # edges that a drop of pi[y] can violate
+        # y -> live edges x - y <= k, as (x, k, reason): the edges that a
+        # drop of pi[y] can violate
         self._into: dict = {}
         self._trail: list = []
 
@@ -138,98 +137,85 @@ class DiffEngine:
         while len(trail) > mark:
             into[trail.pop()].pop()
 
-    def add(self, c: IdlConstraint, reason=None) -> tuple | None:
+    def add(self, x, y, k: int, reason=None) -> tuple | None:
         """Add x - y <= k, or return the negative cycle it would close.
 
-        The cycle is a tuple of (constraint, reason) pairs, a simple closed
-        chain that starts with the edge at its smallest vertex; the new edge
-        is then not added and pi is left as it was.  A self-loop x - x <= k
-        is never stored: it is a cycle of its own when k < 0.
+        The cycle is simple, and comes back as the tuple of its edges'
+        reasons in chain order (each edge's y is the next one's x), starting
+        with the new edge, which is then not added; pi is left as it was.  A
+        self-loop x - x <= k is never stored: it is a cycle of its own when
+        k < 0.
+
+        An edge that pi violates is repaired from x with a cap of 0:
+        lower[v] is how far pi[v] must drop, x must drop by
+        pi[y] + k - pi[x], and reaching y with a drop means the path back to
+        x plus the new edge weighs less than 0.
         """
-        x, y, k = c.x, c.y, c.k
         if x == y:
-            return ((c, reason),) if k < 0 else None
+            return (reason,) if k < 0 else None
         pi = self.pi
         drop = pi.setdefault(y, 0) + k - pi.setdefault(x, 0)
         if drop < 0:
-            cycle = self._repair(x, y, drop, (c, reason))
-            if cycle is not None:
-                return cycle
+            lower, parent = self._dijkstra(x, drop, 0, y)
+            if y in parent:
+                cycle = [reason]
+                while y != x:
+                    why, y = parent[y]
+                    cycle.append(why)
+                return tuple(cycle)
+            for v, d in lower.items():
+                pi[v] += d
         into = self._into.get(y)
         if into is None:
             into = self._into[y] = []
-        into.append((x, k, c, reason))
+        into.append((x, k, reason))
         self._trail.append(y)
-        return None
-
-    def _repair(self, root, stop, drop: int, edge) -> tuple | None:
-        """Dijkstra from root = x over reduced costs k + pi[y] - pi[x] >= 0.
-
-        ``lower[v]`` is how far pi[v] must drop: the new edge forces ``drop``
-        on x, and every edge v - u <= k passes lower[u] plus its reduced cost
-        on to v.  Reaching stop = y with a drop means the path back to x plus
-        the new edge weighs lower[y] < 0 in total: a negative cycle.
-        """
-        pi, into = self.pi, self._into
-        lower = {root: drop}
-        parent = {root: edge}
-        # kept sorted, so pop() gives the largest drop; frontiers stay small,
-        # and bisect, unlike heapq, is already loaded by the CLI's imports
-        frontier = [(-drop, root)]
-        while frontier:
-            d, u = frontier.pop()
-            d = -d
-            if d > lower[u]:
-                continue  # a stale entry; u was settled lower
-            base = d + pi[u]
-            for v, k, c, reason in into.get(u, ()):
-                need = base + k - pi[v]
-                if need < 0 and need < lower.get(v, 0):
-                    if v == stop:
-                        return _close_cycle((c, reason), u, root, parent)
-                    lower[v] = need
-                    parent[v] = (c, reason)
-                    insort(frontier, (-need, v))
-        for v, d in lower.items():
-            pi[v] += d
         return None
 
     def greatest(self, root) -> dict:
         """The greatest solution with root at 0, on the vertices root reaches.
 
         Each value is the vertex's shortest-path distance from root along
-        the live edges, where x - y <= k is an edge from y to x.  Dijkstra
-        runs over the reduced costs k + pi[y] - pi[x], which a feasible pi
-        keeps >= 0; a path's reduced length differs from its length by
-        pi[root] - pi[v], which is added back at the end.
+        the live edges, where x - y <= k is an edge from y to x.  A path's
+        reduced length differs from its length by pi[root] - pi[v], which is
+        added back at the end.
+        """
+        pi = self.pi
+        shift = pi.setdefault(root, 0)
+        reduced, _ = self._dijkstra(root, 0)
+        return {v: r + pi[v] - shift for v, r in reduced.items()}
+
+    def _dijkstra(self, root, start: int, cap=math.inf, stop=None):
+        """Dijkstra from root over the reduced costs k + pi[y] - pi[x] >= 0.
+
+        root starts at distance ``start``, and an edge v - u <= k offers v
+        the distance of u plus its reduced cost.  Only distances below
+        ``cap`` are kept, an unreached vertex counting as ``cap``, and the
+        search ends as soon as ``stop`` is offered one.  Returns the
+        distances and the parents: parent[v] = (reason, u) for the edge that
+        last lowered v.
         """
         pi, into = self.pi, self._into
-        shift = pi.setdefault(root, 0)
-        reduced = {root: 0}
-        frontier = [(0, root)]  # kept sorted by -distance: pop() gives the nearest
+        dist = {root: start}
+        parent: dict = {}
+        # kept sorted, so pop() gives the nearest; frontiers stay small, and
+        # bisect, unlike heapq, is already loaded by the CLI's imports
+        frontier = [(-start, root)]
         while frontier:
             d, u = frontier.pop()
             d = -d
-            if d > reduced[u]:
+            if d > dist[u]:
                 continue  # a stale entry; u was settled nearer
             base = d + pi[u]
-            for v, k, _, _ in into.get(u, ()):
+            for v, k, reason in into.get(u, ()):
                 r = base + k - pi[v]
-                if v not in reduced or r < reduced[v]:
-                    reduced[v] = r
+                if r < dist.get(v, cap):
+                    parent[v] = (reason, u)
+                    if v == stop:
+                        return dist, parent
+                    dist[v] = r
                     insort(frontier, (-r, v))
-        return {v: r + pi[v] - shift for v, r in reduced.items()}
-
-
-def _close_cycle(last, u, root, parent) -> tuple:
-    """The new edge, then ``last`` (into the new edge's y), then parent
-    edges from u back to root, rotated to start at the smallest vertex."""
-    cycle = [parent[root], last]
-    while u != root:
-        cycle.append(parent[u])
-        u = parent[u][0].y
-    first = min(range(len(cycle)), key=lambda i: cycle[i][0].x)
-    return tuple(cycle[first:] + cycle[:first])
+        return dist, parent
 
 
 def solve_idl(constraints) -> IdlOutcome:
@@ -246,9 +232,10 @@ def solve_idl(constraints) -> IdlOutcome:
     variables = set()
     for c in constraints:
         variables.update((c.x, c.y))
-        cycle = engine.add(c)
+        cycle = engine.add(c.x, c.y, c.k, c)  # each constraint is its own reason
         if cycle is not None:
-            return IdlOutcome(False, None, tuple(e for e, _ in cycle))
+            first = min(range(len(cycle)), key=lambda i: cycle[i].x)
+            return IdlOutcome(False, None, cycle[first:] + cycle[:first])
     return IdlOutcome(True, {v: engine.pi.get(v, 0) for v in sorted(variables)}, None)
 
 

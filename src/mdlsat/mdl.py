@@ -30,11 +30,15 @@ import itertools
 from dataclasses import dataclass
 
 from .core import Assignment, ConstraintSystem, MdlError, Term, eval_system
-from .idl import DiffEngine, IdlConstraint, oriented
+from .idl import DiffEngine, oriented
 
 
 class BudgetExceededError(MdlError):
     """The requested enumeration is larger than the allowed budget."""
+
+
+class SelfCheckError(MdlError):
+    """An answer failed the solver's own re-check: a bug, not a bad input."""
 
 
 @dataclass(frozen=True)
@@ -124,29 +128,29 @@ def _wrap_encoding(system: ConstraintSystem):
     id order, and by first occurrence within a variable.
 
     Returns the literals as (variable, k) pairs, and the constraints'
-    difference edges as templates (a, b, base, la, lb, origin): the edge
+    difference edges as templates (a, b, base, la, lb): the edge
     a - b <= base + N*(w_la - w_lb), where a literal of None contributes 0.
     """
     n = system.modulus.n
     zero = system.num_vars
     first_seen: dict = {}  # (variable, k) -> first occurrence
     rows = []
-    for idx, c in enumerate(system.constraints):
+    for c in system.constraints:
         lhs = (c.lhs.var, c.lhs.offset % n)
         rhs = (c.rhs.var, c.rhs.offset % n) if isinstance(c.rhs, Term) else (zero, c.rhs % n)
         for term in (lhs, rhs):
             if term[1] and term[0] != zero:
                 first_seen.setdefault(term, len(first_seen))
-        rows.append((idx, c.rel, lhs, rhs))
+        rows.append((c.rel, lhs, rhs))
     literals = sorted(first_seen, key=lambda term: (term[0], first_seen[term]))
     index = {term: i for i, term in enumerate(literals)}
     templates = []
-    for idx, rel, lhs, rhs in rows:
+    for rel, lhs, rhs in rows:
         for (a, ka), (b, kb), t in oriented(rel, lhs, rhs):
             la, lb = index.get((a, ka)), index.get((b, kb))
             if la == lb:  # the same term twice: the wraps cancel
                 la = lb = None
-            templates.append((a, b, kb - ka - t, la, lb, idx))
+            templates.append((a, b, kb - ka - t, la, lb))
     return literals, templates
 
 
@@ -193,15 +197,15 @@ def solve(system: ConstraintSystem) -> SolveOutcome:
     engine = DiffEngine()
     by_literal: list = [[] for _ in literals]
     for v in range(p):
-        engine.add(IdlConstraint(zero, v, 0), ())
-        engine.add(IdlConstraint(v, zero, n - 1), ())
-    for a, b, base, la, lb, origin in templates:
+        engine.add(zero, v, 0, ())
+        engine.add(v, zero, n - 1, ())
+    for a, b, base, la, lb in templates:
         if la is None and lb is None:
-            if engine.add(IdlConstraint(a, b, base, origin), ()) is not None:
+            if engine.add(a, b, base, ()) is not None:
                 return SolveOutcome(False, None, SearchStats("cdcl", 0, 1))
         for i in (la, lb):
             if i is not None:
-                by_literal[i].append((a, b, base, la, lb, origin))
+                by_literal[i].append((a, b, base, la, lb))
 
     # A literal is 2*i + value: value 1 says term i wraps, 0 that it does not.
     value: list = [None] * len(literals)
@@ -229,25 +233,25 @@ def solve(system: ConstraintSystem) -> SolveOutcome:
         v = value[lit >> 1]
         return v is not None and v != lit & 1
 
-    def add_edge(a, b, k, origin, why) -> list | None:
-        cycle = engine.add(IdlConstraint(a, b, k, origin), why)
+    def add_edge(a, b, k, why) -> list | None:
+        cycle = engine.add(a, b, k, why)
         if cycle is None:
             return None
         # the learned clause: not all of the literals behind the cycle's edges
-        return [lit ^ 1 for lit in dict.fromkeys(lit for _, lits in cycle for lit in lits)]
+        return [lit ^ 1 for lit in dict.fromkeys(lit for lits in cycle for lit in lits)]
 
     def theory(lit: int) -> list | None:
         """Add the edges ``lit`` completes; a conflict comes back as a false clause."""
         i = lit >> 1
         x, k = literals[i]
         if lit & 1:
-            conflict = add_edge(zero, x, k - n, None, (lit,))
+            conflict = add_edge(zero, x, k - n, (lit,))
         else:
-            conflict = add_edge(x, zero, n - k - 1, None, (lit,))
+            conflict = add_edge(x, zero, n - k - 1, (lit,))
         if conflict is not None:
             return conflict
         here = position[i]
-        for a, b, base, la, lb, origin in by_literal[i]:
+        for a, b, base, la, lb in by_literal[i]:
             why = []
             weight = base
             for j, sign in ((la, n), (lb, -n)):
@@ -258,7 +262,7 @@ def solve(system: ConstraintSystem) -> SolveOutcome:
                 weight += sign * value[j]
                 why.append(2 * j + value[j])
             else:
-                conflict = add_edge(a, b, weight, origin, tuple(why))
+                conflict = add_edge(a, b, weight, tuple(why))
                 if conflict is not None:
                     return conflict
         return None
@@ -358,5 +362,5 @@ def solve(system: ConstraintSystem) -> SolveOutcome:
     greatest = engine.greatest(zero)
     model = {v: greatest[v] for v in range(p)}
     if eval_system(system, model) is not None:
-        raise MdlError("internal error: search produced a non-model")
+        raise SelfCheckError("internal error: search produced a non-model")
     return SolveOutcome(True, model, SearchStats("cdcl", nodes, conflicts))

@@ -20,6 +20,7 @@ from mdlsat.cli import (
     main,
 )
 from mdlsat.core import Modulus, parse_system, render_system, satisfies
+from mdlsat.idl import DiffEngine
 from mdlsat.mdl import small_model_bound
 from mdlsat.reductions import (
     MAX_VERTICES,
@@ -194,6 +195,18 @@ def test_solve_input_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
     code, out, err = run(capsys, "solve", str(path))
     assert code == EXIT_USAGE
     assert err.startswith("error: ")
+    assert out == ""
+
+
+def test_solve_self_check_failure_is_exit_2(tmp_path, capsys, monkeypatch):
+    greatest = DiffEngine.greatest
+    monkeypatch.setattr(
+        DiffEngine, "greatest", lambda self, root: {v: d + 1 for v, d in greatest(self, root).items()}
+    )
+    path = write(tmp_path, "intro1.mdl", gen_intro1(16))
+    code, out, err = run(capsys, "solve", path)
+    assert code == EXIT_INTERNAL
+    assert "internal error" in err
     assert out == ""
 
 

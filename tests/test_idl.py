@@ -127,46 +127,57 @@ def test_cycle_checker_rejects_broken_chains():
 def test_engine_add_and_backtrack_keep_a_feasible_potential(seed):
     rng = random.Random(seed)
     engine = DiffEngine()
-    live = []  # (engine mark before the add, constraint)
+    live = []  # (engine mark before the add, reason)
     marks = [engine.mark()]
     added = {}  # reason -> constraint
+    retracted = False
     for step in range(rng.randint(1, 60)):
         if live and rng.random() < 0.2:
             mark = rng.choice([m for m in marks if m <= engine.mark()])
             engine.backtrack(mark)
-            live = [(m, e) for m, e in live if m < mark]
+            live = [(m, r) for m, r in live if m < mark]
+            retracted = True
         else:
             new = c(rng.randrange(5), rng.randrange(5), rng.randint(-6, 6))
             added[step] = new
             before = engine.mark()
-            cycle = engine.add(new, step)
+            cycle = engine.add(new.x, new.y, new.k, step)
             if cycle is None:
-                live.append((before, new))
+                live.append((before, step))
             else:
-                edges = [e for e, _ in cycle]
+                # reasons in chain order, starting with the new edge
+                assert cycle[0] == step
+                assert set(cycle) - {step} <= {r for _, r in live}
+                edges = [added[r] for r in cycle]
                 assert check_idl_cycle(edges)
-                assert all(added[reason] is e for e, reason in cycle)
-                assert new in edges
-                assert set(edges) - {new} <= {e for _, e in live}
                 starts = [e.x for e in edges]
                 assert len(set(starts)) == len(starts)
-                assert starts[0] == min(starts)
                 assert engine.mark() == before
             marks.append(engine.mark())
+        edges = [added[r] for _, r in live]
         pi = engine.pi
-        assert all(pi.get(e.x, 0) - pi.get(e.y, 0) <= e.k for _, e in live)
+        assert all(pi.get(e.x, 0) - pi.get(e.y, 0) <= e.k for e in edges)
+        if not retracted:
+            # pi is the greatest solution <= 0: Bellman-Ford from a virtual
+            # source with a 0 edge to every vertex
+            dist = dict.fromkeys(pi, 0)
+            for _ in range(len(dist)):
+                for e in edges:
+                    if e.x != e.y and dist[e.y] + e.k < dist[e.x]:
+                        dist[e.x] = dist[e.y] + e.k
+            assert pi == dist
         # greatest(root) is the shortest-path distance from root along the
         # live edges, here by Bellman-Ford: x - y <= k takes y's distance
         # plus k on to x
         root = rng.randrange(5)
         dist = {root: 0}
         for _ in range(5):
-            for _, e in live:
+            for e in edges:
                 if e.y in dist and (e.x not in dist or dist[e.y] + e.k < dist[e.x]):
                     dist[e.x] = dist[e.y] + e.k
         greatest = engine.greatest(root)
         assert greatest == dist
-        assert all(greatest[e.x] - greatest[e.y] <= e.k for _, e in live if e.y in greatest)
+        assert all(greatest[e.x] - greatest[e.y] <= e.k for e in edges if e.y in greatest)
 
 
 # --- properties -------------------------------------------------------------
