@@ -2,9 +2,10 @@
 
 Decision runs exit 10 (SAT) or 20 (UNSAT); other commands exit 0 on
 success.  Usage and parse problems exit 1; a failed internal re-check of a
-produced answer exits 2.  Reports go to stdout as ``key = value`` lines
-(model lines are plain ``name = value``), wall-clock timing goes to stderr
-so stdout stays byte-stable for fixed inputs and seeds.
+produced answer exits 2 with nothing on stdout.  Reports go to stdout as
+``key = value`` lines (model lines are plain ``name = value``), wall-clock
+timing goes to stderr so stdout stays byte-stable for fixed inputs and
+seeds.
 """
 
 from __future__ import annotations
@@ -142,11 +143,24 @@ def cmd_solve(args) -> int:
     with open(args.file) as handle:
         system = parse_system(handle.read())
     started = time.monotonic()
-    # decide before emitting, so a refused run leaves stdout empty
+    # decide and re-check before emitting, so a refused run leaves stdout empty
     if args.oracle:
         outcome = mdl.brute_force_sat(system, budget=args.budget)
     else:
         outcome = mdl.solve(system)
+    domain = mdl.small_model_bound(system)
+    model = outcome.model
+    if outcome.sat and not satisfies(system, model):
+        raise mdl.SelfCheckError("internal error: reported model fails re-evaluation")
+    # Neither model needs packing.  ``solve``'s lies in the bounded domain by
+    # construction (see its docstring).  Brute force's is the
+    # lexicographically first model; a packing step lowers every value of one
+    # cluster and keeps a solution, so it would give an earlier model.  No
+    # step applies, and a fixed point of packing lies in the domain by the
+    # paper's bound.
+    if outcome.sat and args.normalize and not all(v in domain for v in model.values()):
+        raise mdl.SelfCheckError("internal error: model lies outside the bounded domain")
+    relaxation = _relaxation_report(system) if args.relax else []
     _emit("instance", args.file)
     _emit("modulus", system.modulus.n)
     _emit("variables", system.num_vars)
@@ -155,64 +169,42 @@ def cmd_solve(args) -> int:
     _emit("method", outcome.stats.method)
     _emit("verdict", "SAT" if outcome.sat else "UNSAT")
     _emit("nodes", outcome.stats.nodes)
-    domain = mdl.small_model_bound(system)
     if not args.oracle:
         _emit("conflicts", outcome.stats.conflicts)
         _emit("domain-size", domain.size)
     if outcome.sat:
-        model = outcome.model
-        if not satisfies(system, model):
-            print("internal error: reported model fails re-evaluation", file=sys.stderr)
-            return EXIT_INTERNAL
         if args.normalize:
-            # Neither model needs packing.  ``solve``'s lies in the bounded
-            # domain by construction (see its docstring).  Brute force's is
-            # the lexicographically first model; a packing step lowers every
-            # value of one cluster and keeps a solution, so it would give an
-            # earlier model.  No step applies, and a fixed point of packing
-            # lies in the domain by the paper's bound.
-            if not all(v in domain for v in model.values()):
-                print("internal error: model lies outside the bounded domain", file=sys.stderr)
-                return EXIT_INTERNAL
             _emit("normalized", "yes")
         _emit_model_residues(system, model)
-
-    if args.relax:
-        code = _solve_relaxation(system)
-        if code is not None:
-            return code
+    for line in relaxation:
+        print(line)
     print(f"time-ms = {int((time.monotonic() - started) * 1000)}", file=sys.stderr)
     return EXIT_SAT if outcome.sat else EXIT_UNSAT
 
 
-def _solve_relaxation(system: ConstraintSystem) -> int | None:
-    """Print the integer-relaxation section; non-None return is an error exit."""
+def _relaxation_report(system: ConstraintSystem) -> list:
+    """The re-checked lines of the integer-relaxation section."""
     relaxation = idl.relax_to_idl(system)
     outcome = idl.solve_idl(relaxation.constraints)
-    _emit("semantics", "integer-relaxation")
-    _emit("verdict", "SAT" if outcome.sat else "UNSAT")
+    lines = ["semantics = integer-relaxation", f"verdict = {'SAT' if outcome.sat else 'UNSAT'}"]
     if outcome.sat:
         model = dict(outcome.model)
         if relaxation.zero_var is not None and relaxation.zero_var in model:
             shift = model[relaxation.zero_var]
             model = {v: value - shift for v, value in model.items()}
         if not idl.check_idl_model(relaxation.constraints, model):
-            print("internal error: relaxation model fails re-evaluation", file=sys.stderr)
-            return EXIT_INTERNAL
+            raise mdl.SelfCheckError("internal error: relaxation model fails re-evaluation")
         for name in sorted(system.symbols.names):
             vid = system.symbols.id_of(name)
             if vid in model:
-                _emit(name, model[vid])
+                lines.append(f"{name} = {model[vid]}")
     else:
         cycle = outcome.cycle
         if not idl.check_idl_cycle(cycle):
-            print("internal error: relaxation certificate fails re-evaluation", file=sys.stderr)
-            return EXIT_INTERNAL
-        _emit("cycle-length", len(cycle))
-        _emit("cycle-weight", sum(c.k for c in cycle))
-        for c in cycle:
-            print(f"core: {render_constraint(system.constraints[c.origin], system.symbols)}")
-    return None
+            raise mdl.SelfCheckError("internal error: relaxation certificate fails re-evaluation")
+        lines += [f"cycle-length = {len(cycle)}", f"cycle-weight = {sum(c.k for c in cycle)}"]
+        lines += [f"core: {render_constraint(system.constraints[c.origin], system.symbols)}" for c in cycle]
+    return lines
 
 
 def cmd_reduce(args) -> int:
@@ -242,8 +234,7 @@ def cmd_decode(args) -> int:
         return EXIT_INTERNAL
     coloring = reductions.decode_coloring(meta, assignment)
     if not reductions.verify_coloring(info.graph, coloring):
-        print("internal error: decoded coloring is not proper", file=sys.stderr)
-        return EXIT_INTERNAL
+        raise mdl.SelfCheckError("internal error: decoded coloring is not proper")
     for v in range(info.graph.n):
         print(f"color {v} {coloring[v]}")
     return EXIT_OK

@@ -118,18 +118,29 @@ def _compile_constraint(c, n: int):
 
 
 def _wrap_encoding(system: ConstraintSystem):
-    """Wrap literals and edge templates of a system, for ``solve``.
+    """Wrap literals and guarded difference edges of a system, for ``solve``.
 
     With 0 <= x < N and k reduced into [0, N), the term x + k evaluates to
     x + k - N*w for the literal w = [x >= N-k]; a term with k = 0 never
     wraps and has no literal.  A constant right-hand side r is the term
     ``zero + (r mod N)`` on the extra vertex ``zero`` = p, which also never
     wraps.  Literals are numbered in decision order: grouped by variable in
-    id order, and by first occurrence within a variable.
+    id order, and by first occurrence within a variable.  Literal i with
+    value w has the code 2*i + w: 2*i + 1 says its term wraps, 2*i that it
+    does not.
 
-    Returns the literals as (variable, k) pairs, and the constraints'
-    difference edges as templates (a, b, base, la, lb): the edge
-    a - b <= base + N*(w_la - w_lb), where a literal of None contributes 0.
+    Returns the literals as (variable, k) pairs, and the edges as
+    (a, b, k, guard): a - b <= k holds once every literal code in the tuple
+    ``guard`` is true.  In order, the edges are:
+
+    * the range bounds zero - v <= 0 and v - zero <= N-1 of each variable,
+      unguarded;
+    * each literal's bounds, x >= N-k when it is true and x <= N-k-1 when
+      it is false;
+    * each constraint's edges, one copy per value of the literals la, lb of
+      its terms: a - b <= kb - ka - t + N*(wa - wb), guarded by the codes of
+      la and lb in that order.  A term without a literal contributes 0, and
+      an edge without literals is unguarded.
     """
     n = system.modulus.n
     zero = system.num_vars
@@ -144,14 +155,22 @@ def _wrap_encoding(system: ConstraintSystem):
         rows.append((c.rel, lhs, rhs))
     literals = sorted(first_seen, key=lambda term: (term[0], first_seen[term]))
     index = {term: i for i, term in enumerate(literals)}
-    templates = []
+    edges = []
+    for v in range(zero):
+        edges += [(zero, v, 0, ()), (v, zero, n - 1, ())]
+    values = {None: ((0, ()),)}  # literal index -> its values and their guards
+    for i, (x, k) in enumerate(literals):
+        edges += [(zero, x, k - n, (2 * i + 1,)), (x, zero, n - k - 1, (2 * i,))]
+        values[i] = ((0, (2 * i,)), (1, (2 * i + 1,)))
     for rel, lhs, rhs in rows:
         for (a, ka), (b, kb), t in oriented(rel, lhs, rhs):
             la, lb = index.get((a, ka)), index.get((b, kb))
             if la == lb:  # the same term twice: the wraps cancel
                 la = lb = None
-            templates.append((a, b, kb - ka - t, la, lb))
-    return literals, templates
+            for wa, ga in values[la]:
+                for wb, gb in values[lb]:
+                    edges.append((a, b, kb - ka - t + n * (wa - wb), ga + gb))
+    return literals, edges
 
 
 def solve(system: ConstraintSystem) -> SolveOutcome:
@@ -177,9 +196,10 @@ def solve(system: ConstraintSystem) -> SolveOutcome:
     construction:
 
     * Every edge weight is congruent mod N to some s with |s| <= 2m+1.  A
-      template's base kb - ka - t is congruent to l - k - t for the written
-      offsets k, l (a constant right-hand side counts as l); a literal bound
-      k - N or N-k-1 to k or -k-1; a range bound 0 or N-1 to 0 or -1.
+      constraint edge's weight kb - ka - t + N*(wa - wb) is congruent to
+      l - k - t for the written offsets k, l (a constant right-hand side
+      counts as l); a literal bound k - N or N-k-1 to k or -k-1; a range
+      bound 0 or N-1 to 0 or -1.
     * Without negative cycles some shortest path is simple, and a simple
       path from ``zero`` has at most p edges.  So each value is S + jN with
       |S| <= (2m+1)*p = B.
@@ -190,24 +210,18 @@ def solve(system: ConstraintSystem) -> SolveOutcome:
 
     The model is re-checked against the system before it is returned.
     """
-    n = system.modulus.n
     p = system.num_vars
-    zero = p
-    literals, templates = _wrap_encoding(system)
+    literals, edges = _wrap_encoding(system)
     engine = DiffEngine()
-    by_literal: list = [[] for _ in literals]
-    for v in range(p):
-        engine.add(zero, v, 0, ())
-        engine.add(v, zero, n - 1, ())
-    for a, b, base, la, lb in templates:
-        if la is None and lb is None:
-            if engine.add(a, b, base, ()) is not None:
+    guarded: list = [[] for _ in range(2 * len(literals))]  # literal code -> edges it guards
+    for edge in edges:
+        if not edge[3]:
+            if engine.add(*edge) is not None:
                 return SolveOutcome(False, None, SearchStats("cdcl", 0, 1))
-        for i in (la, lb):
-            if i is not None:
-                by_literal[i].append((a, b, base, la, lb))
+        for lit in edge[3]:
+            guarded[lit].append(edge)
 
-    # A literal is 2*i + value: value 1 says term i wraps, 0 that it does not.
+    # indexed by literal i; the trail and clauses hold codes 2*i + value
     value: list = [None] * len(literals)
     level = [0] * len(literals)
     reason: list = [None] * len(literals)  # index into clauses; None for decisions
@@ -233,38 +247,19 @@ def solve(system: ConstraintSystem) -> SolveOutcome:
         v = value[lit >> 1]
         return v is not None and v != lit & 1
 
-    def add_edge(a, b, k, why) -> list | None:
-        cycle = engine.add(a, b, k, why)
-        if cycle is None:
-            return None
-        # the learned clause: not all of the literals behind the cycle's edges
-        return [lit ^ 1 for lit in dict.fromkeys(lit for lits in cycle for lit in lits)]
-
     def theory(lit: int) -> list | None:
         """Add the edges ``lit`` completes; a conflict comes back as a false clause."""
-        i = lit >> 1
-        x, k = literals[i]
-        if lit & 1:
-            conflict = add_edge(zero, x, k - n, (lit,))
-        else:
-            conflict = add_edge(x, zero, n - k - 1, (lit,))
-        if conflict is not None:
-            return conflict
-        here = position[i]
-        for a, b, base, la, lb in by_literal[i]:
-            why = []
-            weight = base
-            for j, sign in ((la, n), (lb, -n)):
-                if j is None:
-                    continue
-                if value[j] is None or position[j] > here:
-                    break  # the later literal adds this edge
-                weight += sign * value[j]
-                why.append(2 * j + value[j])
+        here = position[lit >> 1]
+        for a, b, k, guard in guarded[lit]:
+            for g in guard:
+                i = g >> 1
+                if value[i] != g & 1 or position[i] > here:
+                    break  # not switched on yet, or the later literal adds it
             else:
-                conflict = add_edge(a, b, weight, tuple(why))
-                if conflict is not None:
-                    return conflict
+                cycle = engine.add(a, b, k, guard)
+                if cycle is not None:
+                    # the learned clause: not all of the guards of the cycle's edges
+                    return [g ^ 1 for g in dict.fromkeys(g for guard in cycle for g in guard)]
         return None
 
     def unit_propagate(lit: int) -> list | None:
@@ -359,7 +354,7 @@ def solve(system: ConstraintSystem) -> SolveOutcome:
         edge_lim.append(engine.mark())
         assign(2 * next_free, None)
 
-    greatest = engine.greatest(zero)
+    greatest = engine.greatest(p)  # p is the zero vertex
     model = {v: greatest[v] for v in range(p)}
     if eval_system(system, model) is not None:
         raise SelfCheckError("internal error: search produced a non-model")

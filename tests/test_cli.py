@@ -7,6 +7,7 @@ import pytest
 from conftest import is_three_colorable, time_limit
 from hypothesis import given, settings, strategies as st
 
+from mdlsat import idl, mdl
 from mdlsat.cli import (
     EXIT_INTERNAL,
     EXIT_OK,
@@ -21,7 +22,7 @@ from mdlsat.cli import (
 )
 from mdlsat.core import Modulus, parse_system, render_system, satisfies
 from mdlsat.idl import DiffEngine
-from mdlsat.mdl import small_model_bound
+from mdlsat.mdl import SearchStats, SolveOutcome, small_model_bound
 from mdlsat.reductions import (
     MAX_VERTICES,
     Graph,
@@ -205,6 +206,25 @@ def test_solve_self_check_failure_is_exit_2(tmp_path, capsys, monkeypatch):
     )
     path = write(tmp_path, "intro1.mdl", gen_intro1(16))
     code, out, err = run(capsys, "solve", path)
+    assert code == EXIT_INTERNAL
+    assert "internal error" in err
+    assert out == ""
+
+
+def test_failed_relaxation_certificate_check_prints_nothing(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(idl, "check_idl_cycle", lambda cycle: False)
+    path = write(tmp_path, "intro1.mdl", gen_intro1(16))
+    code, out, err = run(capsys, "solve", path, "--relax")
+    assert code == EXIT_INTERNAL
+    assert "internal error" in err
+    assert out == ""
+
+
+def test_failed_oracle_model_check_prints_nothing(tmp_path, capsys, monkeypatch):
+    non_model = SolveOutcome(True, {0: 0}, SearchStats("enumeration", 1))
+    monkeypatch.setattr(mdl, "brute_force_sat", lambda system, budget: non_model)
+    path = write(tmp_path, "intro1.mdl", gen_intro1(16))
+    code, out, err = run(capsys, "solve", path, "--oracle")
     assert code == EXIT_INTERNAL
     assert "internal error" in err
     assert out == ""

@@ -1,8 +1,9 @@
+import itertools
 import random
 
 import pytest
 from cluster_packing import V_MAX, V_MIN, NotASolutionError, compute_clusters, left_pack_steps, normalize_solution
-from conftest import is_three_colorable, time_limit
+from conftest import is_three_colorable, petersen, time_limit
 from hypothesis import given, settings, strategies as st
 
 from mdlsat.cli import gen_chain, gen_idl_paper, gen_random
@@ -16,7 +17,7 @@ from mdlsat.core import (
     parse_system,
     satisfies,
 )
-from mdlsat.mdl import BudgetExceededError, brute_force_sat, small_model_bound, solve
+from mdlsat.mdl import BudgetExceededError, _wrap_encoding, brute_force_sat, small_model_bound, solve
 from mdlsat.reductions import Graph, Variant, encode_3col
 
 
@@ -84,6 +85,35 @@ def test_small_model_bound_size_invariant(p, m, n):
     assert db.size == len(members) <= min(n, 2 * db.bound + 2)
     # membership is arithmetic, and agrees with [0, B] u [N-1-B, N-1] in range
     assert members == (set(range(db.bound + 1)) | set(range(n - 1 - db.bound, n))) & set(range(n))
+
+
+# --- wrap encoding ----------------------------------------------------------
+
+
+@given(
+    st.integers(min_value=0, max_value=10**9),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=0, max_value=4),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=2, max_value=6),
+)
+@settings(max_examples=200, deadline=None)
+def test_wrap_encoding_edges_hold_exactly_at_models_with_their_wraps(seed, p, cons, m, n):
+    # x ranges one past each end of the residues, so the range edges are tested too
+    system = parse_system(gen_random(p, cons, m, n, seed))
+    literals, edges = _wrap_encoding(system)
+    for w in itertools.product((0, 1), repeat=len(literals)):
+        true = {2 * i + wi for i, wi in enumerate(w)}
+        on = [(a, b, k) for a, b, k, guard in edges if true.issuperset(guard)]
+        for x in itertools.product(range(-1, n + 1), repeat=system.num_vars):
+            values = x + (0,)  # the zero vertex is p
+            holds = all(values[a] - values[b] <= k for a, b, k in on)
+            expected = (
+                all(0 <= v < n for v in x)
+                and satisfies(system, dict(enumerate(x)))
+                and w == tuple(int(x[v] >= n - k) for v, k in literals)
+            )
+            assert holds == expected
 
 
 # --- complete solver --------------------------------------------------------
@@ -162,7 +192,31 @@ def test_decisions_do_not_depend_on_the_modulus():
         with time_limit(2.0):
             out = solve(system)
         counts.add((out.sat, out.stats.nodes, out.stats.conflicts))
-    assert len(counts) == 1
+    assert counts == {(False, 206, 80)}
+
+
+def _wheel5():
+    """The rim cycle on 0..4 and the hub, vertex 5, last."""
+    return Graph.from_edges(6, [(v, (v + 1) % 5) for v in range(5)] + [(v, 5) for v in range(5)])
+
+
+@pytest.mark.parametrize(
+    "graph, variant, sat, nodes, conflicts",
+    [
+        (Graph.complete(4), Variant.STRICT, False, 639, 98),
+        (_wheel5(), Variant.NONSTRICT, False, 474, 132),
+        (Graph.cycle(5), Variant.NONSTRICT, True, 136, 49),
+        (petersen(), Variant.NONSTRICT, True, 712, 140),
+        (petersen(), Variant.STRICT, True, 2580, 170),
+    ],
+    ids=["k4-strict", "w5-nonstrict", "c5-nonstrict", "petersen-nonstrict", "petersen-strict"],
+)
+def test_ladder_search_counts_at_two_to_the_32(graph, variant, sat, nodes, conflicts):
+    # the search is deterministic, so a refactor that keeps it keeps these counts
+    system, _ = encode_3col(graph, Modulus(2**32), variant)
+    with time_limit(2.0):
+        out = solve(system)
+    assert (out.sat, out.stats.nodes, out.stats.conflicts) == (sat, nodes, conflicts)
 
 
 @st.composite
