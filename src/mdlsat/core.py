@@ -17,7 +17,7 @@ import operator
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 
 class MdlError(Exception):
@@ -111,8 +111,7 @@ class SymbolTable:
         return f"SymbolTable({self._names!r})"
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(NamedTuple):
     """A variable plus an integer offset, evaluated modulo N."""
 
     var: VarId
@@ -125,6 +124,10 @@ class Relation(Enum):
     EQ = "="
     GE = ">="
     GT = ">"
+
+    # members are singletons compared by identity, so hash them by identity
+    # too: Enum's own hash runs Python code on every dict lookup
+    __hash__ = object.__hash__
 
     def holds(self, a: int, b: int) -> bool:
         """Does ``a REL b`` hold for residues a, b under the residue order?"""
@@ -143,8 +146,7 @@ _RESIDUE_ORDER = {
 Rhs = Union[Term, int]
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(NamedTuple):
     """``lhs REL rhs`` where rhs is a term or an integer constant.
 
     GE/GT/EQ are primitive, kept as written in the source so certificates and

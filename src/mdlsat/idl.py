@@ -4,19 +4,22 @@ solver shares.
 
 Constraints have the form x - y <= k.  ``DiffEngine`` holds a stack of them
 as edges (x, y, k, reason), together with a feasible potential pi
-(pi[x] - pi[y] <= k on every edge).  Adding an edge that pi violates runs a
-Dijkstra repair over reduced costs (Cotton & Maler, "Fast and Flexible
-Difference Constraint Propagation for DPLL(T)", SAT 2006): it either lowers
-pi until every edge holds again, or returns the reasons of the simple
-negative cycle the new edge closed -- an unsatisfiability certificate whose
-inequalities sum to 0 <= (negative).  Retracting edges back to a mark keeps
-pi feasible.  ``greatest`` reads the greatest solution relative to one vertex
-off the live edges, with the same Dijkstra as the repair.
+(pi[x] - pi[y] <= k on every edge).  Adding an edge x - y <= k that pi
+violates runs a Dijkstra repair over reduced costs (Cotton & Maler, "Fast
+and Flexible Difference Constraint Propagation for DPLL(T)", SAT 2006) from
+both ends at once: lowering x and what it pushes down races raising y and
+what it pushes up, and the side that finishes first is applied.  Either
+side can instead return the reasons of the simple negative cycle the new
+edge closed -- an unsatisfiability certificate whose inequalities sum to
+0 <= (negative).  Retracting edges back to a mark keeps pi feasible.
+``greatest`` reads the greatest solution relative to one vertex, or the
+greatest solution <= 0, off the live edges, with the same Dijkstra as the
+repair.
 
 ``solve_idl`` adds the constraints to one engine in input order, each
-constraint its own reason.  Its model is pi, the greatest solution <= 0,
-which is unique; its certificate is the cycle closed by the first constraint
-at which the input prefix turns unsatisfiable.
+constraint its own reason.  Its model is the greatest solution <= 0, which
+is unique; its certificate is the cycle closed by the first constraint at
+which the input prefix turns unsatisfiable.
 
 ``relax_to_idl`` translates a modular system into this integer form by
 ignoring wraparound.  That reading is deliberately neither sound nor
@@ -30,12 +33,15 @@ from __future__ import annotations
 
 import math
 from bisect import insort
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .core import ConstraintSystem, Relation, Term, VarId
 
 
-@dataclass(frozen=True)
+# not frozen: a frozen dataclass sets each field through object.__setattr__,
+# which doubles the cost of building one; hashed by value, so never mutated
+@dataclass(slots=True, unsafe_hash=True)
 class IdlConstraint:
     """x - y <= k over the integers."""
 
@@ -113,18 +119,19 @@ class DiffEngine:
     An edge is x - y <= k with an opaque reason, which is all that a cycle
     through it hands back.  ``pi`` maps every vertex seen so far to an
     integer such that pi[x] - pi[y] <= k holds for every live edge.
-    Vertices start at 0 and only ever move down, and ``backtrack`` leaves pi
-    where it is.  So pi is the greatest solution <= 0 of the live edges only
-    while nothing has been retracted, as in ``solve_idl``; after a
-    retraction it is merely feasible.  Vertices are hashable, and the ones a
-    search meets must also order against each other, as ints do.
+    Vertices start at 0, a repair moves them down or up, and ``backtrack``
+    leaves pi where it is: pi is feasible, and nothing more.  The greatest
+    solutions are read off with ``greatest``.  Vertices are hashable, and
+    the ones a search meets must also order against each other, as ints do.
     """
 
     def __init__(self):
         self.pi: dict = {}
-        # y -> live edges x - y <= k, as (x, k, reason): the edges that a
-        # drop of pi[y] can violate
-        self._into: dict = {}
+        # each live edge (x, y, k, reason) is listed in _into[y], the edges a
+        # drop of pi[y] can violate, and in _out[x], the ones a rise of pi[x]
+        # can violate
+        self._into: defaultdict = defaultdict(list)
+        self._out: defaultdict = defaultdict(list)
         self._trail: list = []
 
     def mark(self) -> int:
@@ -133,9 +140,11 @@ class DiffEngine:
 
     def backtrack(self, mark: int) -> None:
         """Retract every edge added since ``mark``; pi stays feasible."""
-        trail, into = self._trail, self._into
+        trail, into, out = self._trail, self._into, self._out
         while len(trail) > mark:
-            into[trail.pop()].pop()
+            edge = trail.pop()
+            into[edge[1]].pop()
+            out[edge[0]].pop()
 
     def add(self, x, y, k: int, reason=None) -> tuple | None:
         """Add x - y <= k, or return the negative cycle it would close.
@@ -144,78 +153,118 @@ class DiffEngine:
         reasons in chain order (each edge's y is the next one's x), starting
         with the new edge, which is then not added; pi is left as it was.  A
         self-loop x - x <= k is never stored: it is a cycle of its own when
-        k < 0.
+        k < 0.  Either way, x and y count as seen.
 
-        An edge that pi violates is repaired from x with a cap of 0:
-        lower[v] is how far pi[v] must drop, x must drop by
-        pi[y] + k - pi[x], and reaching y with a drop means the path back to
-        x plus the new edge weighs less than 0.
+        An edge that pi violates by -drop is repaired from both ends, each
+        search capped at 0: lowering x by -drop and whatever that pushes
+        down, or raising y by -drop and whatever that pushes up.  The side
+        charged less work so far takes the next step, a queued vertex
+        costing the length of the edge list it will scan and a root being
+        charged up front.  So a hub, such as the zero vertex of
+        ``mdl.solve``, moves only when the other side is no cheaper.  The
+        first side to finish is applied.  A side that reaches the other end
+        of the new edge has found a path back to its root that weighs less
+        than -k, so a negative cycle; both sides find one if either does.
         """
-        if x == y:
-            return (reason,) if k < 0 else None
         pi = self.pi
         drop = pi.setdefault(y, 0) + k - pi.setdefault(x, 0)
+        if x == y:
+            return (reason,) if k < 0 else None
         if drop < 0:
-            lower, parent = self._dijkstra(x, drop, 0, y)
-            if y in parent:
-                cycle = [reason]
-                while y != x:
-                    why, y = parent[y]
-                    cycle.append(why)
-                return tuple(cycle)
-            for v, d in lower.items():
-                pi[v] += d
-        into = self._into.get(y)
-        if into is None:
-            into = self._into[y] = []
-        into.append((x, k, reason))
-        self._trail.append(y)
+            lower, low_parent, rise, high_parent = {x: drop}, {}, {y: drop}, {}
+            low = self._dijkstra(lower, low_parent, False, 0, y)
+            high = self._dijkstra(rise, high_parent, True, 0, x)
+            # each side is charged its root's edges up front
+            a, b = len(self._into.get(x, ())), len(self._out.get(y, ()))
+            while True:
+                if a <= b:
+                    work = next(low, None)
+                    if work is None:
+                        break
+                    a += work
+                else:
+                    work = next(high, None)
+                    if work is None:
+                        break
+                    b += work
+            if a <= b:
+                dist, parent, root, v, sign = lower, low_parent, x, y, 1
+            else:
+                dist, parent, root, v, sign = rise, high_parent, y, x, -1
+            if v in parent:
+                path = []
+                while v != root:
+                    why, v = parent[v]
+                    path.append(why)
+                if sign < 0:
+                    path.reverse()  # it was found from y back to x
+                return (reason, *path)
+            for v, d in dist.items():
+                pi[v] += sign * d
+        edge = (x, y, k, reason)
+        self._into[y].append(edge)
+        self._out[x].append(edge)
+        self._trail.append(edge)
         return None
 
-    def greatest(self, root) -> dict:
+    def greatest(self, root=None) -> dict:
         """The greatest solution with root at 0, on the vertices root reaches.
 
         Each value is the vertex's shortest-path distance from root along
-        the live edges, where x - y <= k is an edge from y to x.  A path's
-        reduced length differs from its length by pi[root] - pi[v], which is
-        added back at the end.
+        the live edges, where x - y <= k is an edge from y to x.  Without a
+        root, every vertex seen so far starts at 0, which gives the greatest
+        solution <= 0.  A path's reduced length differs from its length by
+        pi[start] - pi[v], which is added back at the end.
         """
         pi = self.pi
-        shift = pi.setdefault(root, 0)
-        reduced, _ = self._dijkstra(root, 0)
+        if root is None:
+            shift, reduced = 0, {v: -p for v, p in pi.items()}
+        else:
+            shift, reduced = pi.setdefault(root, 0), {root: 0}
+        for _ in self._dijkstra(reduced, {}):
+            pass
         return {v: r + pi[v] - shift for v, r in reduced.items()}
 
-    def _dijkstra(self, root, start: int, cap=math.inf, stop=None):
-        """Dijkstra from root over the reduced costs k + pi[y] - pi[x] >= 0.
+    def _dijkstra(self, dist, parent, raising=False, cap=math.inf, stop=None):
+        """Dijkstra over the reduced costs k + pi[y] - pi[x] >= 0, a vertex a step.
 
-        root starts at distance ``start``, and an edge v - u <= k offers v
-        the distance of u plus its reduced cost.  Only distances below
+        ``dist`` holds the start distances and receives the rest.  A lowering
+        search follows each edge x - y <= k from y to x, a raising one from x
+        to y, and offers the far end the near end's distance plus the edge's
+        reduced cost.  In a repair, a lowering distance is what pi must add,
+        and a raising one what it must subtract.  Only distances below
         ``cap`` are kept, an unreached vertex counting as ``cap``, and the
-        search ends as soon as ``stop`` is offered one.  Returns the
-        distances and the parents: parent[v] = (reason, u) for the edge that
-        last lowered v.
+        search ends as soon as ``stop`` is offered one.  parent[v] =
+        (reason, u) records the edge that last offered v a distance.
+
+        This is a generator: after settling each vertex it yields the work
+        that step charged, the length of the edge list of each vertex it
+        queued.
         """
-        pi, into = self.pi, self._into
-        dist = {root: start}
-        parent: dict = {}
-        # kept sorted, so pop() gives the nearest; frontiers stay small, and
-        # bisect, unlike heapq, is already loaded by the CLI's imports
-        frontier = [(-start, root)]
+        pi = self.pi
+        edges, far, sign = (self._out, 1, -1) if raising else (self._into, 0, 1)
+        # kept sorted, so pop() gives the nearest; frontiers stay small,
+        # bisect is already loaded by the CLI's imports, and a heapq frontier
+        # was no clear gain
+        frontier = sorted([(-d, v) for v, d in dist.items()])
         while frontier:
             d, u = frontier.pop()
             d = -d
             if d > dist[u]:
                 continue  # a stale entry; u was settled nearer
-            base = d + pi[u]
-            for v, k, reason in into.get(u, ()):
-                r = base + k - pi[v]
+            base = d + sign * pi[u]
+            work = 0
+            for edge in edges.get(u, ()):
+                v = edge[far]
+                r = base + edge[2] - sign * pi[v]
                 if r < dist.get(v, cap):
-                    parent[v] = (reason, u)
+                    parent[v] = (edge[3], u)
                     if v == stop:
-                        return dist, parent
+                        return
                     dist[v] = r
                     insort(frontier, (-r, v))
-        return dist, parent
+                    work += len(edges.get(v, ()))
+            yield work
 
 
 def solve_idl(constraints) -> IdlOutcome:
@@ -229,14 +278,12 @@ def solve_idl(constraints) -> IdlOutcome:
     vertex id.
     """
     engine = DiffEngine()
-    variables = set()
     for c in constraints:
-        variables.update((c.x, c.y))
         cycle = engine.add(c.x, c.y, c.k, c)  # each constraint is its own reason
         if cycle is not None:
             first = min(range(len(cycle)), key=lambda i: cycle[i].x)
             return IdlOutcome(False, None, cycle[first:] + cycle[:first])
-    return IdlOutcome(True, {v: engine.pi.get(v, 0) for v in sorted(variables)}, None)
+    return IdlOutcome(True, dict(sorted(engine.greatest().items())), None)
 
 
 def check_idl_model(constraints, model: dict) -> bool:

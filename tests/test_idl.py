@@ -122,6 +122,15 @@ def test_cycle_checker_rejects_broken_chains():
 # --- incremental engine ------------------------------------------------------
 
 
+def _greatest_at_most_zero(vertices, edges):
+    """Bellman-Ford from a virtual source with a 0 edge to every vertex."""
+    dist = dict.fromkeys(vertices, 0)
+    for _ in range(len(dist)):
+        for e in edges:
+            dist[e.x] = min(dist[e.x], dist[e.y] + e.k)
+    return dist
+
+
 @given(st.integers(min_value=0, max_value=10**9))
 @settings(max_examples=200, deadline=None)
 def test_engine_add_and_backtrack_keep_a_feasible_potential(seed):
@@ -130,13 +139,11 @@ def test_engine_add_and_backtrack_keep_a_feasible_potential(seed):
     live = []  # (engine mark before the add, reason)
     marks = [engine.mark()]
     added = {}  # reason -> constraint
-    retracted = False
     for step in range(rng.randint(1, 60)):
         if live and rng.random() < 0.2:
             mark = rng.choice([m for m in marks if m <= engine.mark()])
             engine.backtrack(mark)
             live = [(m, r) for m, r in live if m < mark]
-            retracted = True
         else:
             new = c(rng.randrange(5), rng.randrange(5), rng.randint(-6, 6))
             added[step] = new
@@ -157,15 +164,9 @@ def test_engine_add_and_backtrack_keep_a_feasible_potential(seed):
         edges = [added[r] for _, r in live]
         pi = engine.pi
         assert all(pi.get(e.x, 0) - pi.get(e.y, 0) <= e.k for e in edges)
-        if not retracted:
-            # pi is the greatest solution <= 0: Bellman-Ford from a virtual
-            # source with a 0 edge to every vertex
-            dist = dict.fromkeys(pi, 0)
-            for _ in range(len(dist)):
-                for e in edges:
-                    if e.x != e.y and dist[e.y] + e.k < dist[e.x]:
-                        dist[e.x] = dist[e.y] + e.k
-            assert pi == dist
+        # greatest() is the greatest solution <= 0 of the live edges, before
+        # and after retractions
+        assert engine.greatest() == _greatest_at_most_zero(pi, edges)
         # greatest(root) is the shortest-path distance from root along the
         # live edges, here by Bellman-Ford: x - y <= k takes y's distance
         # plus k on to x
@@ -178,6 +179,32 @@ def test_engine_add_and_backtrack_keep_a_feasible_potential(seed):
         greatest = engine.greatest(root)
         assert greatest == dist
         assert all(greatest[e.x] - greatest[e.y] <= e.k for e in edges if e.y in greatest)
+
+
+def test_engine_raises_y_instead_of_lowering_a_hub():
+    # x = 0 has 100 edges v - x <= 0 into it and y = 101 one out-edge, so
+    # raising y is charged far less than lowering x and its neighbours
+    engine = DiffEngine()
+    for v in range(1, 101):
+        assert engine.add(v, 0, 0) is None
+    assert engine.add(101, 102, 5) is None
+    before = dict(engine.pi)
+    assert engine.add(0, 101, -1) is None
+    assert engine.pi == {**before, 101: before[101] + 1}
+
+
+def test_a_cycle_closed_from_the_raising_side_comes_back_in_chain_order():
+    engine = DiffEngine()
+    chain = [c(101, 102, 0), c(102, 103, -2), c(103, 0, 0)]
+    for e in [c(v, 0, 0) for v in range(1, 101)] + chain:
+        assert engine.add(e.x, e.y, e.k, e) is None
+    before = dict(engine.pi)
+    new = c(0, 101, 1)
+    cycle = engine.add(new.x, new.y, new.k, new)
+    # found from y = 101 forward to x = 0, and handed back from the new edge
+    assert cycle == (new, *chain)
+    assert check_idl_cycle(cycle)
+    assert engine.pi == before
 
 
 # --- properties -------------------------------------------------------------
@@ -217,6 +244,17 @@ def test_outcomes_are_self_certifying(seed):
         # prefix turns unsatisfiable
         j = max(i for i, e in enumerate(constraints) if any(e is f for f in out.cycle))
         assert solve_idl(constraints[:j]).sat
+
+
+@given(st.integers(min_value=0, max_value=10**9))
+@settings(max_examples=200, deadline=None)
+def test_model_is_the_greatest_solution_at_most_zero(seed):
+    # the model solve --relax prints
+    constraints = _random_constraints(random.Random(seed))
+    out = solve_idl(constraints)
+    if out.sat:
+        variables = sorted({e.x for e in constraints} | {e.y for e in constraints})
+        assert out.model == _greatest_at_most_zero(variables, constraints)
 
 
 def test_determinism():
