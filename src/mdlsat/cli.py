@@ -51,23 +51,12 @@ class _Parser(argparse.ArgumentParser):
 
 def gen_intro1(n: int = 16) -> str:
     """Two constraints with no integer solution but a wraparound one."""
-    symbols = SymbolTable()
-    x = symbols.intern("x")
-    constraints = (
-        Constraint(Term(x), Relation.GE, 0),
-        Constraint(Term(x, 1), Relation.LE, 0),
-    )
-    return render_system(ConstraintSystem(Modulus(n), symbols, constraints))
+    return f"mod {n}\nx >= 0\nx + 1 <= 0\n"
 
 
 def gen_chain(n: int) -> str:
     """x0 < x1 < ... < xN: integer-satisfiable, impossible in N residues."""
-    symbols = SymbolTable()
-    ids = [symbols.intern(f"x{i}") for i in range(n + 1)]
-    constraints = tuple(
-        Constraint(Term(ids[i]), Relation.LT, Term(ids[i + 1])) for i in range(n)
-    )
-    return render_system(ConstraintSystem(Modulus(n), symbols, constraints))
+    return f"mod {n}\n" + "".join(f"x{i} < x{i + 1}\n" for i in range(n))
 
 
 def gen_idl_paper(n: int = 10) -> str:
@@ -76,15 +65,7 @@ def gen_idl_paper(n: int = 10) -> str:
     Its integer reading sums to -1 around the cycle and is unsatisfiable;
     over the residues it has models.
     """
-    symbols = SymbolTable()
-    ids = {name: symbols.intern(name) for name in ("x1", "x2", "x3", "x4")}
-    constraints = (
-        Constraint(Term(ids["x1"], 3), Relation.LE, Term(ids["x2"])),
-        Constraint(Term(ids["x2"]), Relation.LE, Term(ids["x3"], 1)),
-        Constraint(Term(ids["x3"], 2), Relation.LE, Term(ids["x4"])),
-        Constraint(Term(ids["x4"]), Relation.LE, Term(ids["x1"], 3)),
-    )
-    return render_system(ConstraintSystem(Modulus(n), symbols, constraints))
+    return f"mod {n}\nx1 + 3 <= x2\nx2 <= x3 + 1\nx3 + 2 <= x4\nx4 <= x1 + 3\n"
 
 
 _RANDOM_SHAPES = (
@@ -119,9 +100,7 @@ def gen_random(num_vars: int, num_constraints: int, max_offset: int, n: int, see
         else:
             lhs = Term(rng.choice(ids))
             constraints.append(Constraint(lhs, rel, rng.randint(-max_offset, max_offset)))
-    text = render_system(ConstraintSystem(Modulus(n), symbols, tuple(constraints)))
-    # unused variables vanish on reparse; renormalize so output is canonical
-    return render_system(parse_system(text))
+    return render_system(ConstraintSystem(Modulus(n), symbols, tuple(constraints)))
 
 
 # --- report plumbing --------------------------------------------------------
@@ -210,14 +189,14 @@ def _relaxation_report(system: ConstraintSystem) -> list:
 def cmd_reduce(args) -> int:
     with open(args.graph) as handle:
         graph = reductions.parse_dimacs_graph(handle.read())
-    variant = reductions.Variant(args.variant)
-    system, meta = reductions.encode_3col(graph, Modulus(args.mod), variant)
+    variant, modulus = reductions.Variant(args.variant), Modulus(args.mod)
+    system, _ = reductions.encode_3col(graph, modulus, variant)
     mdl_path = args.out + ".mdl"
     meta_path = args.out + ".meta"
     with open(mdl_path, "w") as handle:
         handle.write(render_system(system))
     with open(meta_path, "w") as handle:
-        handle.write(reductions.render_meta(meta, system.symbols))
+        handle.write(reductions.render_meta(graph, variant, modulus))
     print(f"wrote {mdl_path} ({system.num_vars} variables, {len(system.constraints)} constraints)")
     print(f"wrote {meta_path}")
     return EXIT_OK
@@ -225,17 +204,17 @@ def cmd_reduce(args) -> int:
 
 def cmd_decode(args) -> int:
     with open(args.meta) as handle:
-        info = reductions.parse_meta(handle.read())
-    system, meta = reductions.restore_encoding(info)
+        graph, variant, modulus = reductions.parse_meta(handle.read())
+    system, meta = reductions.encode_3col(graph, modulus, variant)
     with open(args.model) as handle:
         assignment = _read_model_lines(handle.read(), system)
     if not satisfies(system, assignment):
         print("model does not satisfy the encoded system", file=sys.stderr)
         return EXIT_INTERNAL
     coloring = reductions.decode_coloring(meta, assignment)
-    if not reductions.verify_coloring(info.graph, coloring):
+    if not reductions.verify_coloring(graph, coloring):
         raise mdl.SelfCheckError("internal error: decoded coloring is not proper")
-    for v in range(info.graph.n):
+    for v in range(graph.n):
         print(f"color {v} {coloring[v]}")
     return EXIT_OK
 
@@ -272,25 +251,25 @@ def _read_model_lines(text: str, system: ConstraintSystem):
     return assignment
 
 
+#: the modulus of each ``gen`` kind without --mod; chain has none
+_GEN_MOD = {"intro1": 16, "idl-paper": 10, "random": 12}
+
+
 def cmd_gen(args) -> int:
+    mod = _GEN_MOD.get(args.kind) if args.mod is None else args.mod
+    if mod is None:
+        raise _UsageError("gen chain requires --mod")
+    n = Modulus(mod).n
     if args.kind == "intro1":
-        text = gen_intro1(args.mod if args.mod is not None else 16)
+        text = gen_intro1(n)
     elif args.kind == "chain":
-        if args.mod is None:
-            raise _UsageError("gen chain requires --mod")
-        text = gen_chain(args.mod)
+        text = gen_chain(n)
     elif args.kind == "idl-paper":
-        text = gen_idl_paper(args.mod if args.mod is not None else 10)
+        text = gen_idl_paper(n)
     else:
         if args.vars < 1 or args.cons < 0 or args.m < 0:
             raise _UsageError("gen random needs --vars >= 1, --cons >= 0 and --m >= 0")
-        text = gen_random(
-            args.vars,
-            args.cons,
-            args.m,
-            args.mod if args.mod is not None else 12,
-            args.seed,
-        )
+        text = gen_random(args.vars, args.cons, args.m, n, args.seed)
     if args.out:
         with open(args.out, "w") as handle:
             handle.write(text)

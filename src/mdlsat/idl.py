@@ -32,9 +32,9 @@ All weights are Python integers, so path arithmetic is exact at any size.
 from __future__ import annotations
 
 import math
-from bisect import insort
 from collections import defaultdict
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 
 from .core import ConstraintSystem, Relation, Term, VarId
 
@@ -243,13 +243,10 @@ class DiffEngine:
         """
         pi = self.pi
         edges, far, sign = (self._out, 1, -1) if raising else (self._into, 0, 1)
-        # kept sorted, so pop() gives the nearest; frontiers stay small,
-        # bisect is already loaded by the CLI's imports, and a heapq frontier
-        # was no clear gain
-        frontier = sorted([(-d, v) for v, d in dist.items()])
+        frontier = [(d, v) for v, d in dist.items()]
+        heapify(frontier)
         while frontier:
-            d, u = frontier.pop()
-            d = -d
+            d, u = heappop(frontier)
             if d > dist[u]:
                 continue  # a stale entry; u was settled nearer
             base = d + sign * pi[u]
@@ -262,7 +259,7 @@ class DiffEngine:
                     if v == stop:
                         return
                     dist[v] = r
-                    insort(frontier, (-r, v))
+                    heappush(frontier, (r, v))
                     work += len(edges.get(v, ()))
             yield work
 

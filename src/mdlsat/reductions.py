@@ -13,15 +13,14 @@ coloring, so satisfiability of the encoded system and 3-colorability of the
 graph coincide.
 
 File formats: DIMACS edge lists (``p edge n m`` / ``e u v``, 1-indexed) for
-graphs, and a line-oriented sidecar recording the encoding layout so models
-can be decoded in a separate process.
+graphs, and a sidecar that is the graph with a header comment naming the
+variant and modulus, so models can be decoded in a separate process.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 
 from .core import (
     Assignment,
@@ -33,7 +32,6 @@ from .core import (
     Relation,
     SymbolTable,
     Term,
-    VarId,
 )
 
 
@@ -284,94 +282,30 @@ def render_dimacs_graph(graph: Graph) -> str:
 
 # --- meta sidecar -----------------------------------------------------------
 #
-#   variant <nonstrict|strict> mod <N>
-#   vertices <n>
-#   vertex <v> <name0> <name1> <name2>
-#   edge <u> <w> <c> <e-name> <f-name>
+# The graph in DIMACS form, under one header line:
+#
+#   c variant <nonstrict|strict> mod <N>
+#
+# The encoding is a fixed function of these three, so ``decode`` re-runs
+# ``encode_3col`` on them; the header is a DIMACS comment, so the sidecar is
+# also a graph file ``reduce`` reads.
 
 
-class MetaInfo(NamedTuple):
-    variant: Variant
-    modulus: Modulus
-    graph: Graph
-    vertex_names: dict
-    edge_names: dict
+def render_meta(graph: Graph, variant: Variant, modulus: Modulus) -> str:
+    return f"c variant {variant.value} mod {modulus.n}\n" + render_dimacs_graph(graph)
 
 
-def render_meta(meta: EncodingMeta, symbols: SymbolTable) -> str:
-    lines = [
-        f"variant {meta.variant.value} mod {meta.modulus.n}",
-        f"vertices {len(meta.vertex_vars)}",
-    ]
-    for v, ids in enumerate(meta.vertex_vars):
-        lines.append(f"vertex {v} " + " ".join(symbols.name_of(i) for i in ids))
-    for (edge, c) in sorted(meta.edge_vars):
-        e, f = meta.edge_vars[(edge, c)]
-        lines.append(f"edge {edge[0]} {edge[1]} {c} {symbols.name_of(e)} {symbols.name_of(f)}")
-    return "\n".join(lines) + "\n"
-
-
-def _int(text: str, line_no: int) -> int:
+def parse_meta(text: str) -> tuple[Graph, Variant, Modulus]:
+    lines = text.splitlines()
+    parts = lines[0].split() if lines else []
+    if len(parts) != 5 or parts[:2] != ["c", "variant"] or parts[3] != "mod":
+        raise ParseError("expected 'c variant <nonstrict|strict> mod <N>'", 1)
     try:
-        return int(text)
+        variant = Variant(parts[2])
     except ValueError:
-        raise ParseError(f"expected an integer, got {text!r}", line_no) from None
-
-
-def parse_meta(text: str) -> MetaInfo:
-    variant = None
-    modulus = None
-    n = None
-    vertex_names: dict = {}
-    edge_names: dict = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        parts = raw.split()
-        if not parts or parts[0].startswith("#"):
-            continue
-        kind = parts[0]
-        if kind == "variant":
-            if len(parts) != 4 or parts[2] != "mod":
-                raise ParseError("expected 'variant <kind> mod <N>'", line_no)
-            try:
-                variant = Variant(parts[1])
-            except ValueError:
-                raise ParseError(f"unknown variant {parts[1]!r}", line_no) from None
-            modulus = Modulus(_int(parts[3], line_no))
-        elif kind == "vertices":
-            if len(parts) != 2:
-                raise ParseError("expected 'vertices <n>'", line_no)
-            n = _int(parts[1], line_no)
-        elif kind == "vertex":
-            if len(parts) != 5:
-                raise ParseError("expected 'vertex <v> <name0> <name1> <name2>'", line_no)
-            vertex_names[_int(parts[1], line_no)] = tuple(parts[2:5])
-        elif kind == "edge":
-            if len(parts) != 6:
-                raise ParseError("expected 'edge <u> <w> <c> <e> <f>'", line_no)
-            u, w, c = (_int(text, line_no) for text in parts[1:4])
-            if c not in (0, 1, 2):
-                raise ParseError(f"color {c} is not 0, 1 or 2", line_no)
-            edge_names[((u, w), c)] = (parts[4], parts[5])
-        else:
-            raise ParseError(f"unrecognized line kind {kind!r}", line_no)
-    if variant is None or modulus is None or n is None:
-        raise ParseError("meta file is missing its header lines")
-    graph = Graph(n, frozenset(edge for edge, c in edge_names))
-    if len(vertex_names) != n or not all(0 <= v < n for v in vertex_names):
-        raise ParseError(f"expected one vertex line for each of vertices 0..{n - 1}")
-    return MetaInfo(variant, modulus, graph, vertex_names, edge_names)
-
-
-def restore_encoding(info: MetaInfo) -> tuple[ConstraintSystem, EncodingMeta]:
-    """Re-encode from a parsed sidecar, checking the recorded names match."""
-    system, meta = encode_3col(info.graph, info.modulus, info.variant)
-    for v, names in info.vertex_names.items():
-        actual = tuple(system.symbols.name_of(i) for i in meta.vertex_vars[v])
-        if actual != names:
-            raise ParseError(f"vertex {v}: names {names} do not match the encoding {actual}")
-    for key, names in info.edge_names.items():
-        e, f = meta.edge_vars[key]
-        actual = (system.symbols.name_of(e), system.symbols.name_of(f))
-        if actual != names:
-            raise ParseError(f"edge {key}: names {names} do not match the encoding {actual}")
-    return system, meta
+        raise ParseError(f"unknown variant {parts[2]!r}", 1) from None
+    try:
+        n = int(parts[4])
+    except ValueError:
+        raise ParseError(f"expected an integer modulus, got {parts[4]!r}", 1) from None
+    return parse_dimacs_graph(text), variant, Modulus(n)

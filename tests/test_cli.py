@@ -335,27 +335,85 @@ def test_decode_incomplete_model(tmp_path, capsys):
     assert "lacks values" in err
 
 
-_META = "variant nonstrict mod 16\nvertices 2\nvertex 0 v0_c0 v0_c1 v0_c2\nvertex 1 v1_c0 v1_c1 v1_c2\n"
+_META = "c variant nonstrict mod 16\np edge 2 1\ne 1 2\n"
 
 
 @pytest.mark.parametrize(
     "meta",
     [
+        "",
+        _META.replace("c variant nonstrict mod 16\n", ""),
+        _META.replace("c variant", "c variety"),
+        _META.replace("nonstrict", "medium"),
         _META.replace("mod 16", "mod abc"),
-        _META.replace("vertices 2", "vertices"),
+        _META.replace("mod 16", "mod 1"),
+        _META.replace("nonstrict mod 16", "strict mod 8"),
+        _META.replace("p edge 2 1", "p edge"),
+        _META.replace("p edge 2 1", "p edge 2 2"),
+        _META.replace("e 1 2", "e 1 5"),
         _META + "edge 0 1 5 a b\n",
-        "variant nonstrict mod 16\nvertices 1\nvertex 5 v0_c0 v0_c1 v0_c2\n",
     ],
-    ids=["modulus-not-integer", "bare-vertices", "edge-color-out-of-range", "vertex-out-of-range"],
+    ids=[
+        "empty",
+        "missing-header",
+        "garbled-header",
+        "unknown-variant",
+        "modulus-not-integer",
+        "modulus-below-two",
+        "modulus-too-small-for-strict",
+        "bare-vertices",
+        "edge-count-mismatch",
+        "vertex-out-of-range",
+        "edge-color-out-of-range",  # a line of the old format
+    ],
 )
 def test_decode_malformed_meta_is_a_usage_error(tmp_path, capsys, meta):
     meta_path = write(tmp_path, "bad.meta", meta)
-    model_path = write(tmp_path, "model.txt", "v0_c0 = 15\n")
+    # a model of _META's own encoding, so only the sidecar can be at fault
+    system, _ = encode_3col(Graph.complete(2), Modulus(16), Variant.NONSTRICT)
+    model = mdl.solve(system).model
+    text = "".join(f"{name} = {model[i]}\n" for i, name in enumerate(system.symbols.names))
+    model_path = write(tmp_path, "model.txt", text)
+    assert run(capsys, "decode", write(tmp_path, "good.meta", _META), model_path)[0] == EXIT_OK
     code, out, err = run(capsys, "decode", meta_path, model_path)
     assert code == EXIT_USAGE
     assert err.startswith("error: ")
     assert "Traceback" not in err
     assert out == ""
+
+
+def test_decode_rejects_an_old_format_meta_at_line_1(tmp_path, capsys):
+    """The sidecar that once listed every encoding name: re-make it with reduce."""
+    old = (
+        "variant nonstrict mod 16\nvertices 2\n"
+        "vertex 0 v0_c0 v0_c1 v0_c2\nvertex 1 v1_c0 v1_c1 v1_c2\n"
+        + "".join(f"edge 0 1 {c} e0_1_c{c} f0_1_c{c}\n" for c in range(3))
+    )
+    model_path = write(tmp_path, "model.txt", "v0_c0 = 15\n")
+    code, out, err = run(capsys, "decode", write(tmp_path, "old.meta", old), model_path)
+    assert code == EXIT_USAGE
+    assert err.startswith("error: line 1: ") and "Traceback" not in err
+    assert out == ""
+
+
+def test_decode_rejects_a_meta_vertex_count_over_the_limit(tmp_path, capsys):
+    meta_path = write(tmp_path, "huge.meta", f"c variant nonstrict mod 16\np edge {MAX_VERTICES + 1} 0\n")
+    model_path = write(tmp_path, "model.txt", "v0_c0 = 15\n")
+    with time_limit(2.0):
+        code, out, err = run(capsys, "decode", meta_path, model_path)
+    assert code == EXIT_USAGE
+    assert err.startswith("error: line 2: ") and "limit" in err
+    assert out == ""
+
+
+def test_reduce_reads_its_own_meta_as_a_graph(tmp_path, capsys):
+    graph_path = write(tmp_path, "c5.col", render_dimacs_graph(Graph.cycle(5)))
+    first, second = str(tmp_path / "first"), str(tmp_path / "second")
+    argv = ("--variant", "strict", "--mod", "16")
+    assert run(capsys, "reduce", graph_path, *argv, "--out", first)[0] == EXIT_OK
+    assert run(capsys, "reduce", first + ".meta", *argv, "--out", second)[0] == EXIT_OK
+    assert (tmp_path / "second.mdl").read_bytes() == (tmp_path / "first.mdl").read_bytes()
+    assert (tmp_path / "second.meta").read_bytes() == (tmp_path / "first.meta").read_bytes()
 
 
 # --- gen command ------------------------------------------------------------
@@ -374,6 +432,14 @@ def test_gen_to_stdout_and_file(tmp_path, capsys):
 def test_gen_chain_requires_mod(capsys):
     code, _, err = run(capsys, "gen", "chain")
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("kind", ["intro1", "idl-paper", "chain", "random"])
+def test_gen_rejects_a_modulus_below_two(capsys, kind):
+    code, out, err = run(capsys, "gen", kind, "--mod", "1")
+    assert code == EXIT_USAGE
+    assert err.startswith("error: modulus must be an integer >= 2")
+    assert out == ""
 
 
 def test_gen_random_cli_deterministic(capsys):
@@ -513,7 +579,8 @@ def test_fuzz_reduce_solve_decode(text, encoding):
 
 
 _JUNK = st.one_of(
-    st.sampled_from(["-1", "0", "1", "2", "3", "5", "99", "abc", "mod", "strict", "nonstrict", "v0_c0", "e0_1_c0"]),
+    st.sampled_from(["-1", "0", "1", "2", "3", "5", "6", "99", "abc", "c", "p", "e", "edge", "mod", "strict",
+                     "nonstrict"]),
     st.text(max_size=5),
 )
 
@@ -521,8 +588,7 @@ _JUNK = st.one_of(
 @st.composite
 def mutated_meta(draw):
     """The sidecar of C5 at N=16 with up to two lines dropped, inserted or altered."""
-    system, meta = encode_3col(Graph.cycle(5), Modulus(16), Variant.NONSTRICT)
-    lines = render_meta(meta, system.symbols).splitlines()
+    lines = render_meta(Graph.cycle(5), Variant.NONSTRICT, Modulus(16)).splitlines()
     for _ in range(draw(st.integers(0, 2))):
         at = draw(st.integers(0, len(lines) - 1))
         action = draw(st.sampled_from(["drop", "token", "insert"]))
@@ -552,4 +618,5 @@ def test_fuzz_decode(meta_text, real_model):
     assert code in (EXIT_OK, EXIT_USAGE) or (code == EXIT_INTERNAL and "does not satisfy" in err)
     if code == EXIT_OK:
         coloring = {int(v): int(c) for _, v, c in (line.split() for line in out.splitlines())}
-        assert verify_coloring(parse_meta(meta_text).graph, coloring)
+        graph, _, _ = parse_meta(meta_text)
+        assert verify_coloring(graph, coloring)

@@ -1,0 +1,37 @@
+"""Every name a module of ``src/mdlsat`` imports is used in that module.
+
+No linter ships with the project, so this walks each module's syntax tree
+with the standard ``ast`` module.  ``__init__.py`` imports to re-export, and
+``from __future__`` imports switch on language features, so both are exempt.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "mdlsat").glob("*.py"))
+
+
+def unused_imports(source: str) -> list:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"], ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_the_check_sees_an_unused_name():
+    source = "from typing import NamedTuple, Optional\nimport os.path\nx: Optional[int] = None\n"
+    assert unused_imports(source) == [(1, "NamedTuple"), (2, "os")]

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import four_vertex_graphs, is_three_colorable, petersen, proper_three_colorings
 from mdlsat.core import Modulus, ParseError, Relation, Term, satisfies
@@ -17,7 +18,6 @@ from mdlsat.reductions import (
     parse_meta,
     render_dimacs_graph,
     render_meta,
-    restore_encoding,
     verify_coloring,
 )
 
@@ -238,21 +238,20 @@ def test_dimacs_round_trip():
 # --- meta sidecar -----------------------------------------------------------
 
 
-def test_meta_round_trip():
-    system, meta = encode_3col(C5, Modulus(16), Variant.STRICT)
-    text = render_meta(meta, system.symbols)
-    info = parse_meta(text)
-    assert info.variant is Variant.STRICT
-    assert info.modulus.n == 16
-    assert info.graph == C5
-    system2, meta2 = restore_encoding(info)
-    assert system2 == system
-    assert meta2.vertex_vars == meta.vertex_vars
-    assert meta2.edge_vars == meta.edge_vars
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(0, 7))
+    pairs = [(v, w) for v in range(n) for w in range(v + 1, n)]
+    return Graph(n, frozenset(draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else ()))
 
 
-def test_meta_name_mismatch_detected():
-    system, meta = encode_3col(K3, Modulus(4), Variant.NONSTRICT)
-    text = render_meta(meta, system.symbols).replace("v0_c1", "v0_cX")
-    with pytest.raises(ParseError):
-        restore_encoding(parse_meta(text))
+@given(small_graphs(), st.sampled_from(Variant), st.integers(2, 2**40))
+@settings(max_examples=200, deadline=None)
+def test_meta_round_trip(graph, variant, n):
+    assert parse_meta(render_meta(graph, variant, Modulus(n))) == (graph, variant, Modulus(n))
+
+
+def test_meta_is_the_dimacs_graph_under_a_header_comment():
+    text = render_meta(C5, Variant.STRICT, Modulus(16))
+    assert text == "c variant strict mod 16\n" + render_dimacs_graph(C5)
+    assert parse_dimacs_graph(text) == C5
