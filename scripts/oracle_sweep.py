@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Sweep seeded random systems, comparing the CDCL solver against enumeration.
 
-Prints agreement counts and the most decisions one search took.  Any
-disagreement would be a solver bug; none is expected.  Every SAT model,
-the search's and the enumeration's, must also lie in the bounded candidate
-domain of the paper's small-model bound.
+Prints agreement counts, the total decisions and total conflicts over the
+sweep (so the decisions per conflict), and the most decisions one search
+took.  Any disagreement would be a solver bug; none is expected.  Every SAT
+model, the search's and the enumeration's, must also lie in the bounded
+candidate domain of the paper's small-model bound.
 """
 
 import argparse
@@ -26,7 +27,7 @@ def main():
     args = parser.parse_args()
 
     sat = unsat = disagreements = 0
-    worst_nodes = 0
+    worst_nodes = total_nodes = total_conflicts = 0
     started = time.monotonic()
     for i in range(args.instances):
         seed = args.seed + i
@@ -39,6 +40,8 @@ def main():
         searched = solve(system)
         enumerated = brute_force_sat(system)
         worst_nodes = max(worst_nodes, searched.stats.nodes)
+        total_nodes += searched.stats.nodes
+        total_conflicts += searched.stats.conflicts
         if searched.sat != enumerated.sat:
             disagreements += 1
             print(f"DISAGREEMENT at seed {seed}")
@@ -52,7 +55,8 @@ def main():
             unsat += 1
     elapsed = time.monotonic() - started
     print(f"{args.instances} instances in {elapsed:.1f}s: {sat} SAT, {unsat} UNSAT, "
-          f"{disagreements} disagreements, at most {worst_nodes} decisions")
+          f"{disagreements} disagreements, {total_nodes} decisions and {total_conflicts} conflicts "
+          f"in all, at most {worst_nodes} decisions")
     return 1 if disagreements else 0
 
 

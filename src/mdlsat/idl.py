@@ -162,45 +162,53 @@ class DiffEngine:
         costing the length of the edge list it will scan and a root being
         charged up front.  So a hub, such as the zero vertex of
         ``mdl.solve``, moves only when the other side is no cheaper.  The
-        first side to finish is applied.  A side that reaches the other end
-        of the new edge has found a path back to its root that weighs less
-        than -k, so a negative cycle; both sides find one if either does.
+        first side to finish is applied.  When lowering x can violate no live
+        edge, that side is x alone, and otherwise, when raising y can violate
+        none, it is y alone; no search is then started.  A side that reaches
+        the other end of the new edge has found a path back to its root that
+        weighs less than -k, so a negative cycle; both sides find one if
+        either does.
         """
         pi = self.pi
         drop = pi.setdefault(y, 0) + k - pi.setdefault(x, 0)
         if x == y:
             return (reason,) if k < 0 else None
         if drop < 0:
-            lower, low_parent, rise, high_parent = {x: drop}, {}, {y: drop}, {}
-            low = self._dijkstra(lower, low_parent, False, 0, y)
-            high = self._dijkstra(rise, high_parent, True, 0, x)
             # each side is charged its root's edges up front
             a, b = len(self._into.get(x, ())), len(self._out.get(y, ()))
-            while True:
-                if a <= b:
-                    work = next(low, None)
-                    if work is None:
-                        break
-                    a += work
-                else:
-                    work = next(high, None)
-                    if work is None:
-                        break
-                    b += work
-            if a <= b:
-                dist, parent, root, v, sign = lower, low_parent, x, y, 1
+            if not a:  # lowering x alone breaks no edge
+                pi[x] += drop
+            elif not b:  # raising y alone breaks no edge
+                pi[y] -= drop
             else:
-                dist, parent, root, v, sign = rise, high_parent, y, x, -1
-            if v in parent:
-                path = []
-                while v != root:
-                    why, v = parent[v]
-                    path.append(why)
-                if sign < 0:
-                    path.reverse()  # it was found from y back to x
-                return (reason, *path)
-            for v, d in dist.items():
-                pi[v] += sign * d
+                lower, low_parent, rise, high_parent = {x: drop}, {}, {y: drop}, {}
+                low = self._dijkstra(lower, low_parent, False, 0, y)
+                high = self._dijkstra(rise, high_parent, True, 0, x)
+                while True:
+                    if a <= b:
+                        work = next(low, None)
+                        if work is None:
+                            break
+                        a += work
+                    else:
+                        work = next(high, None)
+                        if work is None:
+                            break
+                        b += work
+                if a <= b:
+                    dist, parent, root, v, sign = lower, low_parent, x, y, 1
+                else:
+                    dist, parent, root, v, sign = rise, high_parent, y, x, -1
+                if v in parent:
+                    path = []
+                    while v != root:
+                        why, v = parent[v]
+                        path.append(why)
+                    if sign < 0:
+                        path.reverse()  # it was found from y back to x
+                    return (reason, *path)
+                for v, d in dist.items():
+                    pi[v] += sign * d
         edge = (x, y, k, reason)
         self._into[y].append(edge)
         self._out[x].append(edge)

@@ -181,9 +181,22 @@ def solve(system: ConstraintSystem) -> SolveOutcome:
     constraints on ``DiffEngine``: the bounds 0 <= x <= N-1 against the
     zero vertex, x >= N-k for a true literal and x <= N-k-1 for a false one,
     and each constraint's edges once all of its literals are set.  A
-    negative cycle names the literals behind its edges; their negation is
-    learned as a clause (first unique implication point), watched by two
-    literals, and the search jumps back to where it becomes unit.
+    negative cycle names the literals behind its edges; their negation is a
+    conflict clause.
+
+    The search backtracks chronologically (Nadel & Ryvchin, "Chronological
+    backtracking", SAT 2018, at threshold 0), so the trail need not be
+    sorted by level.  A decision opens a new level; an implied literal takes
+    the highest level among the other literals of its reason clause, which
+    may be below the current one.  A conflict whose highest level c is 0
+    means UNSAT.  Otherwise the clause learned from it resolves away all but
+    one literal of level c (first unique implication point), the search
+    backtracks to level c-1 only, and the remaining literal is asserted at
+    the highest level b among the clause's others.  Backtracking to a level
+    keeps the trail's literals of that level or below and propagates them
+    again, so their edges re-enter the engine.  A conflict thus undoes the
+    levels from c up, not every level above b, and the decisions between b
+    and c are not made again.  Learned clauses are watched by two literals.
 
     Decisions follow the literal numbering and try "no wrap" first; there
     are no restarts, so runs are deterministic.  Worst-case time is
@@ -235,10 +248,10 @@ def solve(system: ConstraintSystem) -> SolveOutcome:
     qhead = 0
     next_free = 0
 
-    def assign(lit: int, why) -> None:
+    def assign(lit: int, at: int, why) -> None:
         i = lit >> 1
         value[i] = lit & 1
-        level[i] = len(trail_lim)
+        level[i] = at
         reason[i] = why
         position[i] = len(trail)
         trail.append(lit)
@@ -263,7 +276,7 @@ def solve(system: ConstraintSystem) -> SolveOutcome:
         return None
 
     def unit_propagate(lit: int) -> list | None:
-        """Visit the clauses watching the literal ``lit`` just falsified."""
+        """Visit the clauses watching the literal that ``lit`` just falsified."""
         false_lit = lit ^ 1
         pending = watches[false_lit]
         watches[false_lit] = kept = []
@@ -285,12 +298,21 @@ def solve(system: ConstraintSystem) -> SolveOutcome:
                 if is_false(first):
                     kept.extend(pending[at + 1 :])
                     return clause
-                assign(first, ci)
+                # its level is the highest among the false ones, of which
+                # clause[1] is the one that lit just falsified
+                height = level[lit >> 1]
+                for j in range(2, len(clause)):
+                    if level[clause[j] >> 1] > height:
+                        height = level[clause[j] >> 1]
+                assign(first, height, ci)
         return None
 
-    def analyze(conflict: list) -> list:
-        """First-UIP clause: resolve away all but one current-level literal."""
-        current = len(trail_lim)
+    def analyze(conflict: list, top: int) -> list:
+        """First-UIP clause: resolve away all but one literal of level ``top``.
+
+        ``top`` is the highest level in the conflict.  Literals of other
+        levels can sit anywhere on the trail, so the walk steps over them.
+        """
         seen = set()
         learnt = [None]
         open_count = 0
@@ -301,12 +323,12 @@ def solve(system: ConstraintSystem) -> SolveOutcome:
                 i = lit >> 1
                 if i not in seen and level[i] > 0:
                     seen.add(i)
-                    if level[i] == current:
+                    if level[i] == top:
                         open_count += 1
                     else:
                         learnt.append(lit)
             at -= 1
-            while trail[at] >> 1 not in seen:
+            while level[trail[at] >> 1] != top or trail[at] >> 1 not in seen:
                 at -= 1
             uip = trail[at]
             open_count -= 1
@@ -323,27 +345,37 @@ def solve(system: ConstraintSystem) -> SolveOutcome:
             conflict = theory(lit) or unit_propagate(lit)
         if conflict is not None:
             conflicts += 1
-            if not trail_lim:
+            top = max(level[lit >> 1] for lit in conflict)
+            if top == 0:
                 return SolveOutcome(False, None, SearchStats("cdcl", nodes, conflicts))
-            learnt = analyze(conflict)
+            learnt = analyze(conflict, top)
             back = 0
             if len(learnt) > 1:
-                top = max(range(1, len(learnt)), key=lambda j: level[learnt[j] >> 1])
-                learnt[1], learnt[top] = learnt[top], learnt[1]
+                second = max(range(1, len(learnt)), key=lambda j: level[learnt[j] >> 1])
+                learnt[1], learnt[second] = learnt[second], learnt[1]
                 back = level[learnt[1] >> 1]
-            cut = trail_lim[back]
+            # back to level top - 1: the literals of lower levels above the
+            # cut stay, on a fresh stretch of trail that propagates again
+            cut = trail_lim[top - 1]
+            stay = []
             for lit in trail[cut:]:
-                value[lit >> 1] = None
-                next_free = min(next_free, lit >> 1)
-            del trail[cut:], trail_lim[back:]
-            engine.backtrack(edge_lim[back])
-            del edge_lim[back:]
+                if level[lit >> 1] < top:
+                    stay.append(lit)
+                else:
+                    value[lit >> 1] = None
+                    next_free = min(next_free, lit >> 1)
+            del trail[cut:], trail_lim[top - 1 :]
+            engine.backtrack(edge_lim[top - 1])
+            del edge_lim[top - 1 :]
+            for lit in stay:
+                position[lit >> 1] = len(trail)
+                trail.append(lit)
             qhead = cut
             clauses.append(learnt)
             if len(learnt) > 1:
                 watches[learnt[0]].append(len(clauses) - 1)
                 watches[learnt[1]].append(len(clauses) - 1)
-            assign(learnt[0], len(clauses) - 1)
+            assign(learnt[0], back, len(clauses) - 1)
             continue
         while next_free < len(literals) and value[next_free] is not None:
             next_free += 1
@@ -352,7 +384,7 @@ def solve(system: ConstraintSystem) -> SolveOutcome:
         nodes += 1
         trail_lim.append(len(trail))
         edge_lim.append(engine.mark())
-        assign(2 * next_free, None)
+        assign(2 * next_free, len(trail_lim), None)
 
     greatest = engine.greatest(p)  # p is the zero vertex
     model = {v: greatest[v] for v in range(p)}

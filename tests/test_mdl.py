@@ -185,14 +185,23 @@ def test_solve_big_offset_at_two_to_the_32():
     assert out.sat and satisfies(system, out.model)
 
 
-def test_decisions_do_not_depend_on_the_modulus():
+def _k4_search_counts(variant, moduli) -> set:
     counts = set()
-    for n in (4, 16, 64, 2**32):
-        system, _ = encode_3col(Graph.complete(4), Modulus(n), Variant.NONSTRICT)
+    for n in moduli:
+        system, _ = encode_3col(Graph.complete(4), Modulus(n), variant)
         with time_limit(2.0):
             out = solve(system)
         counts.add((out.sat, out.stats.nodes, out.stats.conflicts))
-    assert counts == {(False, 206, 80)}
+    return counts
+
+
+def test_decisions_do_not_depend_on_the_modulus():
+    assert _k4_search_counts(Variant.NONSTRICT, (4, 16, 64, 2**32)) == {(False, 143, 80)}
+
+
+def test_strict_decisions_do_not_depend_on_the_modulus():
+    # the strict twin: literal levels are bookkeeping that must not read N either
+    assert _k4_search_counts(Variant.STRICT, (9, 16, 64, 2**32)) == {(False, 272, 98)}
 
 
 def _wheel5():
@@ -203,11 +212,11 @@ def _wheel5():
 @pytest.mark.parametrize(
     "graph, variant, sat, nodes, conflicts",
     [
-        (Graph.complete(4), Variant.STRICT, False, 639, 98),
-        (_wheel5(), Variant.NONSTRICT, False, 474, 132),
-        (Graph.cycle(5), Variant.NONSTRICT, True, 136, 49),
-        (petersen(), Variant.NONSTRICT, True, 712, 140),
-        (petersen(), Variant.STRICT, True, 2580, 170),
+        (Graph.complete(4), Variant.STRICT, False, 272, 98),
+        (_wheel5(), Variant.NONSTRICT, False, 279, 133),
+        (Graph.cycle(5), Variant.NONSTRICT, True, 85, 49),
+        (petersen(), Variant.NONSTRICT, True, 336, 140),
+        (petersen(), Variant.STRICT, True, 620, 170),
     ],
     ids=["k4-strict", "w5-nonstrict", "c5-nonstrict", "petersen-nonstrict", "petersen-strict"],
 )
@@ -234,6 +243,32 @@ def test_solve_matches_three_coloring_at_wide_moduli(graph, variant, n):
         n = 4 if variant is Variant.NONSTRICT else 9
     system, _ = encode_3col(graph, Modulus(n), variant)
     out = solve(system)
+    assert out.sat == is_three_colorable(graph)
+    if out.sat:
+        assert satisfies(system, out.model)
+
+
+def _random_graph(seed: int) -> Graph:
+    """G(n, m) on 8-10 vertices, from 1.2n to 2.2n edges: about half of them 3-colourable."""
+    rng = random.Random(seed)
+    n = rng.randint(8, 10)
+    m = round(n * rng.uniform(1.2, 2.2))
+    edges = set()
+    while len(edges) < m:
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    return Graph(n, frozenset(edges))
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("seed", range(20))
+def test_solve_matches_three_coloring_on_deeper_trails(seed, variant):
+    # on these a solve averages 14 conflicts below the current level and 240
+    # literals kept across backtracks, against 2 and 27 on random graphs of
+    # at most 6 vertices
+    graph = _random_graph(seed)
+    system, _ = encode_3col(graph, Modulus(2**32), variant)
+    with time_limit(10.0):
+        out = solve(system)
     assert out.sat == is_three_colorable(graph)
     if out.sat:
         assert satisfies(system, out.model)
