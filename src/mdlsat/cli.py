@@ -176,14 +176,21 @@ def _relaxation_report(system: ConstraintSystem) -> list:
         for name in sorted(system.symbols.names):
             vid = system.symbols.id_of(name)
             if vid in model:
-                lines.append(f"{name} = {model[vid]}")
+                lines.append(f"{name} = {_decimal(model[vid])}")
     else:
         cycle = outcome.cycle
         if not idl.check_idl_cycle(cycle):
             raise mdl.SelfCheckError("internal error: relaxation certificate fails re-evaluation")
-        lines += [f"cycle-length = {len(cycle)}", f"cycle-weight = {sum(c.k for c in cycle)}"]
+        lines += [f"cycle-length = {len(cycle)}", f"cycle-weight = {_decimal(sum(c.k for c in cycle))}"]
         lines += [f"core: {render_constraint(system.constraints[c.origin], system.symbols)}" for c in cycle]
     return lines
+
+
+def _decimal(value: int) -> str:
+    try:
+        return str(value)
+    except ValueError:  # beyond the interpreter's int-to-string limit, which the parser relies on
+        raise MdlError(f"an integer-relaxation figure has more than {sys.get_int_max_str_digits()} digits") from None
 
 
 def cmd_reduce(args) -> int:

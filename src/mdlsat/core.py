@@ -217,7 +217,7 @@ def eval_constraint(constraint: Constraint, assignment: Assignment, modulus: Mod
 
 
 def eval_system(system: ConstraintSystem, assignment: Assignment) -> int | None:
-    """Index of the first violated constraint, or None when every one holds."""
+    """Index of the first violated constraint, or None; any assignment indexable by VarId will do."""
     for idx, c in enumerate(system.constraints):
         if not eval_constraint(c, assignment, system.modulus):
             return idx

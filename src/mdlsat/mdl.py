@@ -96,25 +96,13 @@ def brute_force_sat(system: ConstraintSystem, budget: int = 10_000_000) -> Solve
     total = n**p
     if total > budget:
         raise BudgetExceededError(f"{n}^{p} = {total} assignments exceed the budget of {budget}")
-    checks = [_compile_constraint(c, n) for c in system.constraints]
     count = 0
     for values in itertools.product(range(n), repeat=p):
         count += 1
-        if all(check(values) for check in checks):
+        if eval_system(system, values) is None:
             model = dict(enumerate(values))
             return SolveOutcome(True, model, SearchStats("enumeration", count))
     return SolveOutcome(False, None, SearchStats("enumeration", count))
-
-
-def _compile_constraint(c, n: int):
-    """Closure evaluating one constraint against a value tuple indexed by VarId."""
-    x, k = c.lhs.var, c.lhs.offset
-    holds = c.rel.holds
-    if isinstance(c.rhs, Term):
-        y, l = c.rhs.var, c.rhs.offset
-        return lambda vals: holds((vals[x] + k) % n, (vals[y] + l) % n)
-    r = c.rhs % n
-    return lambda vals: holds((vals[x] + k) % n, r)
 
 
 def _wrap_encoding(system: ConstraintSystem):
@@ -196,7 +184,12 @@ def solve(system: ConstraintSystem) -> SolveOutcome:
     keeps the trail's literals of that level or below and propagates them
     again, so their edges re-enter the engine.  A conflict thus undoes the
     levels from c up, not every level above b, and the decisions between b
-    and c are not made again.  Learned clauses are watched by two literals.
+    and c are not made again.
+
+    Every clause is learned from a negative cycle and short, two or three
+    literals on the ladder, so watched literals would save nothing: each is
+    stored once, as learned, under each of its literals, and is scanned
+    whole when one of them turns false.
 
     Decisions follow the literal numbering and try "no wrap" first; there
     are no restarts, so runs are deterministic.  Worst-case time is
@@ -237,13 +230,12 @@ def solve(system: ConstraintSystem) -> SolveOutcome:
     # indexed by literal i; the trail and clauses hold codes 2*i + value
     value: list = [None] * len(literals)
     level = [0] * len(literals)
-    reason: list = [None] * len(literals)  # index into clauses; None for decisions
+    reason: list = [None] * len(literals)  # the implying clause; None for decisions
     position = [0] * len(literals)
     trail: list = []
     trail_lim: list = []  # trail length at each decision
     edge_lim: list = []  # engine mark at each decision
-    clauses: list = []
-    watches: list = [[] for _ in range(2 * len(literals))]  # literal -> clauses watching it
+    occurs: list = [[] for _ in range(2 * len(literals))]  # literal code -> learned clauses holding it
     nodes = conflicts = 0
     qhead = 0
     next_free = 0
@@ -255,10 +247,6 @@ def solve(system: ConstraintSystem) -> SolveOutcome:
         reason[i] = why
         position[i] = len(trail)
         trail.append(lit)
-
-    def is_false(lit: int) -> bool:
-        v = value[lit >> 1]
-        return v is not None and v != lit & 1
 
     def theory(lit: int) -> list | None:
         """Add the edges ``lit`` completes; a conflict comes back as a false clause."""
@@ -275,46 +263,35 @@ def solve(system: ConstraintSystem) -> SolveOutcome:
                     return [g ^ 1 for g in dict.fromkeys(g for guard in cycle for g in guard)]
         return None
 
-    def unit_propagate(lit: int) -> list | None:
-        """Visit the clauses watching the literal that ``lit`` just falsified."""
-        false_lit = lit ^ 1
-        pending = watches[false_lit]
-        watches[false_lit] = kept = []
-        for at, ci in enumerate(pending):
-            clause = clauses[ci]
-            if clause[0] == false_lit:
-                clause[0], clause[1] = clause[1], clause[0]
-            first = clause[0]
-            if value[first >> 1] == first & 1:
-                kept.append(ci)
-                continue
-            for j in range(2, len(clause)):
-                if not is_false(clause[j]):
-                    clause[1], clause[j] = clause[j], clause[1]
-                    watches[clause[1]].append(ci)
-                    break
+    def unit_propagate(lit: int) -> tuple | None:
+        """Scan the clauses holding ``lit ^ 1``: imply a unit's free literal, or return a false clause."""
+        for clause in occurs[lit ^ 1]:
+            free = None
+            height = 0
+            for c in clause:
+                v = value[c >> 1]
+                if v is None:
+                    if free is not None:
+                        break  # two unassigned literals
+                    free = c
+                elif v == c & 1:
+                    break  # satisfied
+                elif level[c >> 1] > height:
+                    height = level[c >> 1]
             else:
-                kept.append(ci)
-                if is_false(first):
-                    kept.extend(pending[at + 1 :])
+                if free is None:
                     return clause
-                # its level is the highest among the false ones, of which
-                # clause[1] is the one that lit just falsified
-                height = level[lit >> 1]
-                for j in range(2, len(clause)):
-                    if level[clause[j] >> 1] > height:
-                        height = level[clause[j] >> 1]
-                assign(first, height, ci)
+                assign(free, height, clause)
         return None
 
-    def analyze(conflict: list, top: int) -> list:
+    def analyze(conflict, top: int) -> tuple:
         """First-UIP clause: resolve away all but one literal of level ``top``.
 
         ``top`` is the highest level in the conflict.  Literals of other
         levels can sit anywhere on the trail, so the walk steps over them.
         """
         seen = set()
-        learnt = [None]
+        rest = []
         open_count = 0
         at = len(trail)
         lits = conflict
@@ -326,16 +303,15 @@ def solve(system: ConstraintSystem) -> SolveOutcome:
                     if level[i] == top:
                         open_count += 1
                     else:
-                        learnt.append(lit)
+                        rest.append(lit)
             at -= 1
             while level[trail[at] >> 1] != top or trail[at] >> 1 not in seen:
                 at -= 1
             uip = trail[at]
             open_count -= 1
             if open_count == 0:
-                learnt[0] = uip ^ 1
-                return learnt
-            lits = [lit for lit in clauses[reason[uip >> 1]] if lit != uip]
+                return (uip ^ 1, *rest)
+            lits = [lit for lit in reason[uip >> 1] if lit != uip]
 
     while True:
         conflict = None
@@ -349,11 +325,7 @@ def solve(system: ConstraintSystem) -> SolveOutcome:
             if top == 0:
                 return SolveOutcome(False, None, SearchStats("cdcl", nodes, conflicts))
             learnt = analyze(conflict, top)
-            back = 0
-            if len(learnt) > 1:
-                second = max(range(1, len(learnt)), key=lambda j: level[learnt[j] >> 1])
-                learnt[1], learnt[second] = learnt[second], learnt[1]
-                back = level[learnt[1] >> 1]
+            back = max((level[lit >> 1] for lit in learnt[1:]), default=0)
             # back to level top - 1: the literals of lower levels above the
             # cut stay, on a fresh stretch of trail that propagates again
             cut = trail_lim[top - 1]
@@ -371,11 +343,9 @@ def solve(system: ConstraintSystem) -> SolveOutcome:
                 position[lit >> 1] = len(trail)
                 trail.append(lit)
             qhead = cut
-            clauses.append(learnt)
-            if len(learnt) > 1:
-                watches[learnt[0]].append(len(clauses) - 1)
-                watches[learnt[1]].append(len(clauses) - 1)
-            assign(learnt[0], back, len(clauses) - 1)
+            for lit in learnt:
+                occurs[lit].append(learnt)
+            assign(learnt[0], back, learnt)
             continue
         while next_free < len(literals) and value[next_free] is not None:
             next_free += 1

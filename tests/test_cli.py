@@ -190,6 +190,20 @@ def test_solve_number_too_long_is_a_parse_error(tmp_path, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "last", ["y + {k} <= x", "y + {k} <= z"], ids=["cycle-weight", "model-value"]
+)
+def test_relaxation_figure_too_long_to_print_is_an_error(tmp_path, capsys, last):
+    # K parses, but the cycle weight -2K, or the value of z at least 2K above
+    # x, has one digit more than str() converts
+    k = "9" * 4300
+    path = write(tmp_path, "nines.mdl", f"mod 7\nx + {k} <= y\n{last.format(k=k)}\n")
+    code, out, err = run(capsys, "solve", path, "--relax")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_solve_input_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
     path = tmp_path / "bin.mdl"
     path.write_bytes(b"mod 16\nx <= \xff\n")

@@ -228,6 +228,18 @@ def test_ladder_search_counts_at_two_to_the_32(graph, variant, sat, nodes, confl
     assert (out.sat, out.stats.nodes, out.stats.conflicts) == (sat, nodes, conflicts)
 
 
+@pytest.mark.parametrize(
+    "args, sat, nodes, conflicts",
+    [((2, 4, 3, 5, 2), True, 6, 5), ((3, 5, 2, 16, 754), False, 5, 4), ((3, 8, 2, 5, 2327), False, 4, 5)],
+)
+def test_kept_literals_take_fresh_trail_positions(args, sat, nodes, conflicts):
+    # a literal kept across a backtrack is re-appended to the trail; without
+    # a new position, ``theory`` compares it against stale positions and
+    # skips or repeats edges, and these counts change
+    out = solve(parse_system(gen_random(*args)))
+    assert (out.sat, out.stats.nodes, out.stats.conflicts) == (sat, nodes, conflicts)
+
+
 @st.composite
 def small_graphs(draw):
     n = draw(st.integers(min_value=1, max_value=6))

@@ -13,8 +13,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 @pytest.mark.parametrize(
     "argv",
-    [["gap_demo.py"], ["coloring_pipeline.py", "k4"], ["oracle_sweep.py", "--instances", "40"]],
-    ids=["gap_demo", "coloring_pipeline", "oracle_sweep"],
+    [["gap_demo.py"], ["coloring_pipeline.py", "k4"], ["oracle_sweep.py", "--instances", "40"], ["search_counts.py"]],
+    ids=["gap_demo", "coloring_pipeline", "oracle_sweep", "search_counts"],
 )
 def test_script_runs(argv):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
