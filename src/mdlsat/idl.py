@@ -8,10 +8,13 @@ as edges (x, y, k, reason), together with a feasible potential pi
 violates runs a Dijkstra repair over reduced costs (Cotton & Maler, "Fast
 and Flexible Difference Constraint Propagation for DPLL(T)", SAT 2006) from
 both ends at once: lowering x and what it pushes down races raising y and
-what it pushes up, and the side that finishes first is applied.  Either
-side can instead return the reasons of the simple negative cycle the new
-edge closed -- an unsatisfiability certificate whose inequalities sum to
-0 <= (negative).  Retracting edges back to a mark keeps pi feasible.
+what it pushes up, and the side that finishes first is applied.  A side
+whose root alone can move settles without the race, and a search that
+settles a busy vertex looks for the edge back to the other end in that
+end's much shorter list first.  Either side can instead return the reasons of
+the simple negative cycle the new edge closed -- an unsatisfiability
+certificate whose inequalities sum to 0 <= (negative).  Retracting edges
+back to a mark keeps pi feasible.
 ``greatest`` reads the greatest solution relative to one vertex, or the
 greatest solution <= 0, off the live edges, with the same Dijkstra as the
 repair.
@@ -162,53 +165,58 @@ class DiffEngine:
         costing the length of the edge list it will scan and a root being
         charged up front.  So a hub, such as the zero vertex of
         ``mdl.solve``, moves only when the other side is no cheaper.  The
-        first side to finish is applied.  When lowering x can violate no live
-        edge, that side is x alone, and otherwise, when raising y can violate
-        none, it is y alone; no search is then started.  A side that reaches
-        the other end of the new edge has found a path back to its root that
-        weighs less than -k, so a negative cycle; both sides find one if
-        either does.
+        first side to finish is applied.  The side that steps first, lowering
+        x when its root is charged no more, finishes in one step exactly
+        when moving its root by -drop breaks none of the root's edges, an
+        empty list included; that move is then made without the race.  A
+        side that reaches the other end of the new edge has found a path
+        back to its root that weighs less than -k, so a negative cycle; both
+        sides find one if either does.
         """
         pi = self.pi
         drop = pi.setdefault(y, 0) + k - pi.setdefault(x, 0)
         if x == y:
             return (reason,) if k < 0 else None
         if drop < 0:
-            # each side is charged its root's edges up front
+            # the side the race steps first: each is charged its root's edges
             a, b = len(self._into.get(x, ())), len(self._out.get(y, ()))
-            if not a:  # lowering x alone breaks no edge
-                pi[x] += drop
-            elif not b:  # raising y alone breaks no edge
-                pi[y] -= drop
-            else:
-                lower, low_parent, rise, high_parent = {x: drop}, {}, {y: drop}, {}
-                low = self._dijkstra(lower, low_parent, False, 0, y)
-                high = self._dijkstra(rise, high_parent, True, 0, x)
-                while True:
-                    if a <= b:
-                        work = next(low, None)
-                        if work is None:
-                            break
-                        a += work
-                    else:
-                        work = next(high, None)
-                        if work is None:
-                            break
-                        b += work
+            root, sign, far, edges = (x, 1, 0, self._into) if a <= b else (y, -1, 1, self._out)
+            base = drop + sign * pi[root]
+            for edge in edges.get(root, ()):
+                if base + edge[2] < sign * pi[edge[far]]:
+                    break  # moving the root alone breaks this edge
+            else:  # the race would end in that side's first step
+                pi[root] += sign * drop
+                drop = 0
+        if drop < 0:
+            lower, low_parent, rise, high_parent = {x: drop}, {}, {y: drop}, {}
+            low = self._dijkstra(lower, low_parent, False, 0, y)
+            high = self._dijkstra(rise, high_parent, True, 0, x)
+            while True:
                 if a <= b:
-                    dist, parent, root, v, sign = lower, low_parent, x, y, 1
+                    work = next(low, None)
+                    if work is None:
+                        break
+                    a += work
                 else:
-                    dist, parent, root, v, sign = rise, high_parent, y, x, -1
-                if v in parent:
-                    path = []
-                    while v != root:
-                        why, v = parent[v]
-                        path.append(why)
-                    if sign < 0:
-                        path.reverse()  # it was found from y back to x
-                    return (reason, *path)
-                for v, d in dist.items():
-                    pi[v] += sign * d
+                    work = next(high, None)
+                    if work is None:
+                        break
+                    b += work
+            if a <= b:
+                dist, parent, root, v, sign = lower, low_parent, x, y, 1
+            else:
+                dist, parent, root, v, sign = rise, high_parent, y, x, -1
+            if v in parent:
+                path = []
+                while v != root:
+                    why, v = parent[v]
+                    path.append(why)
+                if sign < 0:
+                    path.reverse()  # it was found from y back to x
+                return (reason, *path)
+            for v, d in dist.items():
+                pi[v] += sign * d
         edge = (x, y, k, reason)
         self._into[y].append(edge)
         self._out[x].append(edge)
@@ -245,12 +253,22 @@ class DiffEngine:
         search ends as soon as ``stop`` is offered one.  parent[v] =
         (reason, u) records the edge that last offered v a distance.
 
+        When u's edge list is more than twice as long as stop's list of
+        edges from this side (``_out[stop]`` when lowering, ``_into[stop]``
+        when raising), as at a hub, the short list is looked through first
+        for edges between stop and u.  Both lists hold the live edges in
+        trail order, so the first one that offers stop a distance below
+        ``cap`` is the edge u's own scan would meet first, and the search
+        ends there.  Only when there is none is u's own list scanned, and
+        that scan then cannot reach stop.
+
         This is a generator: after settling each vertex it yields the work
         that step charged, the length of the edge list of each vertex it
         queued.
         """
         pi = self.pi
         edges, far, sign = (self._out, 1, -1) if raising else (self._into, 0, 1)
+        back = (self._into if raising else self._out).get(stop, ())  # stop's edges from this side
         frontier = [(d, v) for v, d in dist.items()]
         heapify(frontier)
         while frontier:
@@ -258,8 +276,14 @@ class DiffEngine:
             if d > dist[u]:
                 continue  # a stale entry; u was settled nearer
             base = d + sign * pi[u]
+            scan = edges.get(u, ())
+            if len(scan) > 2 * len(back):
+                for edge in back:
+                    if edge[1 - far] == u and base + edge[2] - sign * pi[stop] < cap:
+                        parent[stop] = (edge[3], u)
+                        return
             work = 0
-            for edge in edges.get(u, ()):
+            for edge in scan:
                 v = edge[far]
                 r = base + edge[2] - sign * pi[v]
                 if r < dist.get(v, cap):

@@ -3,6 +3,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+import reference_engine
 from mdlsat.core import parse_system
 from mdlsat.idl import (
     DiffEngine,
@@ -205,6 +206,83 @@ def test_a_cycle_closed_from_the_raising_side_comes_back_in_chain_order():
     assert cycle == (new, *chain)
     assert check_idl_cycle(cycle)
     assert engine.pi == before
+
+
+def test_a_hub_closes_a_cycle_through_the_earlier_of_two_parallel_edges():
+    # lowering x = 300 pushes the hub 0 down, and the hub has 102 edges into
+    # it against y = 200's three out-edges; both parallel edges 200 - 0 <= 1
+    # and 200 - 0 <= 0 then close a negative cycle, and the first one added
+    # is the one handed back, as the hub's own scan would meet it first
+    engine = DiffEngine()
+    edges = [c(v, 0, 0) for v in range(1, 101)] + [c(200, 0, 1), c(200, 0, 0), c(0, 300, 0)]
+    edges += [c(200, 201, 0)] + [c(201, w, 9) for w in range(1000, 1150)]  # y's side is dear
+    for e in edges:
+        assert engine.add(e.x, e.y, e.k, e) is None
+    new = c(300, 200, -2)
+    cycle = engine.add(new.x, new.y, new.k, new)
+    assert cycle == (new, c(200, 0, 1), c(0, 300, 0))
+    assert cycle[1] is edges[100]  # not the lighter edges[101]
+    reference = reference_engine.DiffEngine()
+    for e in edges:
+        reference.add(e.x, e.y, e.k, e)
+    assert reference.add(new.x, new.y, new.k, new) == cycle
+
+
+def test_a_one_step_repair_moves_only_the_root():
+    # x = 0 has three in-edges with slack 5 and 7, y = 10 four out-edges:
+    # lowering x by 5 breaks none of them, so only pi[x] moves
+    engine = DiffEngine()
+    for e in [c(1, 0, 5), c(2, 0, 7), c(3, 0, 5)] + [c(10, w, 0) for w in range(11, 15)]:
+        assert engine.add(e.x, e.y, e.k) is None
+    before = dict(engine.pi)
+    assert engine.add(0, 10, -5) is None
+    assert engine.pi == {**before, 0: -5}
+
+
+def test_a_one_step_repair_moves_only_the_root_from_the_raising_side():
+    # the mirror case: x = 0 has four in-edges and y = 10 three out-edges
+    # with slack 5 and 7, so raising y by 5 is tried first and breaks none
+    engine = DiffEngine()
+    for e in [c(w, 0, 0) for w in range(11, 15)] + [c(10, 1, 5), c(10, 2, 7), c(10, 3, 5)]:
+        assert engine.add(e.x, e.y, e.k) is None
+    before = dict(engine.pi)
+    assert engine.add(0, 10, -5) is None
+    assert engine.pi == {**before, 10: 5}
+
+
+@given(st.integers(min_value=0, max_value=10**9))
+@settings(max_examples=200, deadline=None)
+def test_engine_matches_the_reference_engine_around_a_busy_vertex(seed):
+    # vertex 0 first gets 30-100 edges to and from vertices 1-5, so many of
+    # them are parallel and any stop vertex is adjacent to it; random adds,
+    # some parallel to an earlier edge, and backtracks follow
+    rng = random.Random(seed)
+    engine, reference = DiffEngine(), reference_engine.DiffEngine()
+    hub = rng.randint(30, 100)
+    marks = [engine.mark()]
+    pairs = []
+    for step in range(hub + rng.randint(20, 60)):
+        if step >= hub and rng.random() < 0.15:
+            mark = rng.choice([m for m in marks if m <= engine.mark()])
+            engine.backtrack(mark)
+            reference.backtrack(mark)
+        else:
+            if step < hub:
+                w = rng.randint(1, 5)
+                x, y = rng.choice([(0, w), (w, 0)])
+            elif rng.random() < 0.3:
+                x, y = rng.choice(pairs)
+            else:
+                x, y = rng.randrange(6), rng.randrange(6)
+            pairs.append((x, y))
+            k = rng.randint(-2, 6) if step < hub else rng.randint(-6, 6)
+            assert engine.add(x, y, k, step) == reference.add(x, y, k, step)
+        assert engine.mark() == reference.mark()
+        marks.append(engine.mark())
+        assert engine.pi == reference.pi
+        assert engine.greatest() == reference.greatest()
+        root = rng.randrange(6)
+        assert engine.greatest(root) == reference.greatest(root)
 
 
 # --- properties -------------------------------------------------------------
