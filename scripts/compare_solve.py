@@ -36,7 +36,8 @@ def load(root: Path, name: str) -> SimpleNamespace:
     package = importlib.util.module_from_spec(spec)
     sys.modules[name] = package
     spec.loader.exec_module(package)
-    return SimpleNamespace(**{m: importlib.import_module(f"{name}.{m}") for m in ("core", "mdl", "reductions")})
+    modules = ("cli", "core", "idl", "mdl", "reductions")
+    return SimpleNamespace(**{m: importlib.import_module(f"{name}.{m}") for m in modules})
 
 
 def main(argv=None):

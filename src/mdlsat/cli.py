@@ -11,6 +11,7 @@ seeds.
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 import time
@@ -289,6 +290,7 @@ def cmd_gen(args) -> int:
 # --- argument wiring --------------------------------------------------------
 
 
+@functools.cache  # built on the first ``main`` call, then kept: a parse leaves it unchanged
 def _build_parser() -> _Parser:
     parser = _Parser(prog="mdlsat", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -239,18 +239,32 @@ def satisfies(system: ConstraintSystem, assignment: Assignment) -> bool:
 #   UINT       := decimal digits, Unicode digits included
 #
 # '#' starts a comment; blank lines are ignored.  Blanks (any Unicode space)
-# between tokens are optional: 'x+3<=y-2' reads as 'x + 3 <= y - 2'.  A line
-# is read in one pass, matching the anchored patterns below in turn, each
-# skipping the blanks before it.  A malformed line, or a number too long for
-# int(), is a ParseError at the first non-blank column no pattern took (one
-# past the end of a line that stops early).  A missing header, or one below
-# 2, is a ModulusError.
+# between tokens are optional: 'x+3<=y-2' reads as 'x + 3 <= y - 2'.  A
+# missing header, or one below 2, is a ModulusError.
+#
+# Each constraint line is read by one match of ``_LINE``, which spells out
+# the grammar above as nested optional groups: a term, then a relation, then
+# a term or constant, then the end of the line (blanks and a comment).  The
+# match takes as much of the line as fits that order, so when the last group
+# is set the line is well formed, and otherwise the first unset group names
+# what was expected there.  The ParseError points at the first non-blank
+# column after the match, in the text before the comment (one past its end
+# when the line stops early).  The pieces the match took are checked first,
+# in the order they are read: 'mod' as a name is reserved, and a number too
+# long for int() is a ParseError at its first digit.
+#
+# Each optional part is written '(?:...|)', with an empty second branch,
+# rather than '(?:...)?'.  Both match the same text, but ``re`` runs '?' on
+# a group as a general repeat, which made the match about 1.5x as slow.
 
-_TERM = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*)(?:\s*([+-])\s*(\d+))?")
-_REL = re.compile(r"\s*(<=|>=|<|>|=)")
-_CONST = re.compile(r"\s*([+-]?)\s*(\d+)")
+_NAME = r"([A-Za-z_][A-Za-z0-9_]*)"
+_OFFSET = r"(?:\s*([+-])\s*(\d+)|)"
+_LINE = re.compile(
+    rf"\s*(?:{_NAME}{_OFFSET}(?:\s*(<=|>=|<|>|=)"
+    rf"(?:\s*(?:{_NAME}{_OFFSET}|([+-]?)\s*(\d+))(?:(\s*(?:#.*)?\Z)|)|)|)|)"
+).match
 _BLANKS = re.compile(r"\s*")
-_MOD = re.compile(r"\s*mod(?![A-Za-z0-9_])")
+_MOD = re.compile(r"\s*mod(?![A-Za-z0-9_])(?:\s*([+-]?)\s*(\d+))?")
 _JUNK = re.compile(r"[^\s\dA-Za-z_<>=+-]")  # a character no token holds
 
 _REL_FROM_TEXT = {r.value: r for r in Relation}
@@ -262,21 +276,8 @@ def _stuck(body: str, pos: int, line_no: int, expected: str) -> ParseError:
     return ParseError(f"expected {expected}, got {got}", line_no, col + 1)
 
 
-def _signed(m: re.Match, group: int, line_no: int) -> int:
-    """The value of the sign in ``group`` followed by the digits in the next group."""
-    digits = m[group + 1]
-    try:
-        value = int(digits)
-    except ValueError:
-        raise ParseError(f"number with {len(digits)} digits is too long", line_no, m.start(group + 1) + 1) from None
-    return -value if m[group] == "-" else value
-
-
-def _term(m: re.Match, symbols: SymbolTable, line_no: int) -> Term:
-    if m[1] == "mod":
-        raise ParseError("'mod' is reserved and cannot name a variable", line_no, m.start(1) + 1)
-    var = symbols.intern(m[1])
-    return Term(var) if m[2] is None else Term(var, _signed(m, 2, line_no))
+def _too_long(m: re.Match, group: int, line_no: int) -> ParseError:
+    return ParseError(f"number with {len(m[group])} digits is too long", line_no, m.start(group) + 1)
 
 
 def _read_header(body: str, line_no: int) -> Modulus:
@@ -286,55 +287,92 @@ def _read_header(body: str, line_no: int) -> Modulus:
         if junk is not None:
             raise ParseError(f"unexpected character {junk[0]!r}", line_no, junk.start() + 1)
         raise ModulusError(f"line {line_no}: expected 'mod <N>' header before constraints")
-    n = _CONST.match(body, m.end())
-    if n is None or n[1] == "+":
-        raise _stuck(body, m.end(), line_no, "an unsigned modulus")
-    if _BLANKS.match(body, n.end()).end() != len(body):
-        raise _stuck(body, n.end(), line_no, "end of line")
-    if n[1] == "-":
-        raise ModulusError(f"line {line_no}: modulus must be >= 2, got -{n[2]}")
-    value = _signed(n, 1, line_no)
+    sign, digits = m.groups()
+    if digits is None or sign == "+":
+        raise _stuck(body, m.start(1) if digits else m.end(), line_no, "an unsigned modulus")
+    if _BLANKS.match(body, m.end()).end() != len(body):
+        raise _stuck(body, m.end(), line_no, "end of line")
+    if sign == "-":
+        raise ModulusError(f"line {line_no}: modulus must be >= 2, got -{digits}")
+    try:
+        value = int(digits)
+    except ValueError:
+        raise _too_long(m, 2, line_no) from None
     if value < 2:
         raise ModulusError(f"line {line_no}: modulus must be >= 2, got {value}")
     return Modulus(value)
 
 
-def _read_constraint(body: str, symbols: SymbolTable, line_no: int) -> Constraint:
-    m = _TERM.match(body)
-    if m is None:
-        raise _stuck(body, 0, line_no, "a variable name")
-    lhs = _term(m, symbols, line_no)
-    r = _REL.match(body, m.end())
-    if r is None:
-        raise _stuck(body, m.end(), line_no, "a relation")
-    m = _TERM.match(body, r.end())
-    if m is not None:
-        rhs: Rhs = _term(m, symbols, line_no)
+def _rejected_piece(m: re.Match, line_no: int) -> ParseError | None:
+    """The error for the first piece of a ``_LINE`` match that cannot be
+    read: the reserved name, or digits too long for int()."""
+    for group in (1, 3, 5, 7, 9):  # names at 1 and 5, digits at the others
+        piece = m[group]
+        if piece is None:
+            continue
+        if group in (1, 5):
+            if piece == "mod":
+                return ParseError("'mod' is reserved and cannot name a variable", line_no, m.start(group) + 1)
+        else:
+            try:
+                int(piece)
+            except ValueError:
+                return _too_long(m, group, line_no)
+    return None
+
+
+def _rejected_line(m: re.Match, raw: str, line_no: int) -> ParseError:
+    """The error for a line that ``_LINE`` did not read to its end."""
+    error = _rejected_piece(m, line_no)
+    if error is not None:
+        return error
+    if m[1] is None:
+        expected = "a variable name"
+    elif m[4] is None:
+        expected = "a relation"
+    elif m[5] is None and m[9] is None:
+        expected = "a term or constant"
     else:
-        m = _CONST.match(body, r.end())
-        if m is None:
-            raise _stuck(body, r.end(), line_no, "a term or constant")
-        rhs = _signed(m, 1, line_no)
-    if _BLANKS.match(body, m.end()).end() != len(body):
-        raise _stuck(body, m.end(), line_no, "end of line")
-    return Constraint(lhs, _REL_FROM_TEXT[r[1]], rhs)
+        expected = "end of line"
+    return _stuck(raw.split("#", 1)[0], m.end(), line_no, expected)
 
 
 def parse_system(text: str) -> ConstraintSystem:
     """Parse the text format.  Variable ids follow first occurrence order."""
-    modulus: Modulus | None = None
-    symbols = SymbolTable()
-    constraints: list[Constraint] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    lines = enumerate(text.splitlines(), start=1)
+    for line_no, raw in lines:
         body = raw.split("#", 1)[0]
-        if not body.strip():
-            continue
-        if modulus is None:
+        if body.strip():
             modulus = _read_header(body, line_no)
-        else:
-            constraints.append(_read_constraint(body, symbols, line_no))
-    if modulus is None:
+            break
+    else:
         raise ModulusError("missing 'mod <N>' header")
+    symbols = SymbolTable()
+    ids, intern = symbols._ids, symbols.intern
+    new = tuple.__new__  # builds a Term or Constraint without their Python-level __new__
+    constraints: list[Constraint] = []
+    for line_no, raw in lines:
+        m = _LINE(raw)
+        a, sign, digits, rel, b, bsign, bdigits, csign, cdigits, end = m.groups()
+        if end is None:
+            stop = m.end()
+            if a is None and (stop == len(raw) or raw[stop] == "#"):
+                continue  # blank, or only a comment
+            raise _rejected_line(m, raw, line_no)
+        try:
+            x = ids[a] if a in ids else intern(a)
+            lhs = new(Term, (x, (-int(digits) if sign == "-" else int(digits)) if digits else 0))
+            if b is None:
+                rhs: Rhs = -int(cdigits) if csign == "-" else int(cdigits)
+            else:
+                y = ids[b] if b in ids else intern(b)
+                rhs = new(Term, (y, (-int(bdigits) if bsign == "-" else int(bdigits)) if bdigits else 0))
+        except (ValueError, MdlError):
+            error = _rejected_piece(m, line_no)
+            if error is None:
+                raise
+            raise error from None
+        constraints.append(new(Constraint, (lhs, _REL_FROM_TEXT[rel], rhs)))
     return ConstraintSystem(modulus, symbols, tuple(constraints))
 
 

@@ -67,23 +67,17 @@ class Relaxation:
     zero_var: VarId | None
 
 
-# x+k REL y+l bounds x - y <= l-k-t (forward) and/or y - x <= k-l-t
-# (backward), where t is 1 for a strict relation and 0 otherwise.
-_FORWARD = {Relation.LE: 0, Relation.LT: 1, Relation.EQ: 0}
-_BACKWARD = {Relation.GE: 0, Relation.GT: 1, Relation.EQ: 0}
-
-
-def oriented(rel: Relation, lhs, rhs):
-    """The difference bounds of ``lhs REL rhs`` as (a, b, t) triples.
-
-    Each triple says term a minus term b is at most -t, with t = 1 for a
-    strict relation: LE/LT/EQ give (lhs, rhs, t), GE/GT/EQ give (rhs, lhs, t).
-    The terms are passed through untouched, so callers pick their form.
-    """
-    if rel in _FORWARD:
-        yield lhs, rhs, _FORWARD[rel]
-    if rel in _BACKWARD:
-        yield rhs, lhs, _BACKWARD[rel]
+#: The difference bounds of ``lhs REL rhs`` as (swap, t) pairs: each says
+#: term a minus term b is at most -t, where (a, b) is (lhs, rhs), or (rhs,
+#: lhs) when swap is set, and t is 1 for a strict relation.  So x+k REL y+l
+#: bounds x - y <= l-k-t (LE/LT/EQ) and/or y - x <= k-l-t (GE/GT/EQ).
+ORIENTED = {
+    Relation.LE: ((False, 0),),
+    Relation.LT: ((False, 1),),
+    Relation.EQ: ((False, 0), (True, 0)),
+    Relation.GE: ((True, 0),),
+    Relation.GT: ((True, 1),),
+}
 
 
 def relax_to_idl(system: ConstraintSystem) -> Relaxation:
@@ -99,11 +93,13 @@ def relax_to_idl(system: ConstraintSystem) -> Relaxation:
     if any(not isinstance(c.rhs, Term) for c in system.constraints):
         zero = system.num_vars
     out: list[IdlConstraint] = []
-    for idx, c in enumerate(system.constraints):
-        lhs = (c.lhs.var, c.lhs.offset)
-        rhs = (c.rhs.var, c.rhs.offset) if isinstance(c.rhs, Term) else (zero, c.rhs)
-        for (a, k), (b, l), t in oriented(c.rel, lhs, rhs):
-            out.append(IdlConstraint(a, b, l - k - t, idx))
+    for idx, ((x, k), rel, rhs) in enumerate(system.constraints):
+        y, l = rhs if isinstance(rhs, Term) else (zero, rhs)
+        for swap, t in ORIENTED[rel]:
+            if swap:
+                out.append(IdlConstraint(y, x, k - l - t, idx))
+            else:
+                out.append(IdlConstraint(x, y, l - k - t, idx))
     return Relaxation(tuple(out), zero)
 
 

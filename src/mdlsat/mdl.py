@@ -30,7 +30,7 @@ import itertools
 from dataclasses import dataclass
 
 from .core import Assignment, ConstraintSystem, MdlError, Term, eval_system
-from .idl import DiffEngine, oriented
+from .idl import ORIENTED, DiffEngine
 
 
 class BudgetExceededError(MdlError):
@@ -151,7 +151,8 @@ def _wrap_encoding(system: ConstraintSystem):
         edges += [(zero, x, k - n, (2 * i + 1,)), (x, zero, n - k - 1, (2 * i,))]
         values[i] = ((0, (2 * i,)), (1, (2 * i + 1,)))
     for rel, lhs, rhs in rows:
-        for (a, ka), (b, kb), t in oriented(rel, lhs, rhs):
+        for swap, t in ORIENTED[rel]:
+            (a, ka), (b, kb) = (rhs, lhs) if swap else (lhs, rhs)
             la, lb = index.get((a, ka)), index.get((b, kb))
             if la == lb:  # the same term twice: the wraps cancel
                 la = lb = None

@@ -161,6 +161,17 @@ def test_solve_reports_are_byte_stable(tmp_path, capsys):
     assert first == second
 
 
+def test_one_call_leaves_no_options_for_the_next(tmp_path, capsys):
+    # the argument parser is built once per process and shared by every call
+    path = write(tmp_path, "s.mdl", gen_intro1(16))
+    _, relaxed, _ = run(capsys, "solve", path, "--relax")
+    code, plain, _ = run(capsys, "solve", path)
+    assert code == EXIT_SAT
+    assert "integer-relaxation" in relaxed
+    assert "integer-relaxation" not in plain
+    assert plain == relaxed[: relaxed.index("semantics = integer-relaxation")]
+
+
 def test_solve_malformed_file(tmp_path, capsys):
     path = write(tmp_path, "bad.mdl", "mod 10\nx << y\n")
     code, _, err = run(capsys, "solve", path)

@@ -177,6 +177,54 @@ def test_parse_error_reports_position():
         assert (excinfo.value.line, excinfo.value.column) == (2, column), line
 
 
+_BIG = "9" * 4301  # one digit past int()'s default limit
+
+# Each place a constraint line can stop, as (line, column, message); the
+# line is the third of its file, after the header and a comment line.
+_STOPS = [
+    ("<= y", 1, "expected a variable name, got '<'"),
+    ("  + 3 <= y", 3, "expected a variable name, got '+'"),
+    ("$x", 1, "expected a variable name, got '$'"),
+    ("x y", 3, "expected a relation, got 'y'"),
+    ("x + <= y", 3, "expected a relation, got '+'"),
+    ("x <=", 5, "expected a term or constant, got end of line"),
+    ("x <= + y", 6, "expected a term or constant, got '+'"),
+    ("x <= y z", 8, "expected end of line, got 'z'"),
+    ("x <= 5y", 7, "expected end of line, got 'y'"),
+    ("x <= y + ", 8, "expected end of line, got '+'"),
+    ("x # c", 3, "expected a relation, got end of line"),
+    ("x <= # c", 6, "expected a term or constant, got end of line"),
+    ("mod <= x", 1, "'mod' is reserved and cannot name a variable"),
+    ("x <= mod + 1", 6, "'mod' is reserved and cannot name a variable"),
+    (f"mod + {_BIG} <= y", 1, "'mod' is reserved and cannot name a variable"),
+    (f"x + {_BIG} <= y", 5, "number with 4301 digits is too long"),
+    (f"x <= y - {_BIG}", 10, "number with 4301 digits is too long"),
+    (f"x < {_BIG}", 5, "number with 4301 digits is too long"),
+    (f"x <= -{_BIG}", 7, "number with 4301 digits is too long"),
+    (f"x + {_BIG} <= mod", 5, "number with 4301 digits is too long"),
+    (f"x + {_BIG} y", 5, "number with 4301 digits is too long"),
+    ("x\u2003<=\u00a0", 6, "expected a term or constant, got end of line"),
+    ("x\u2003<=\u00a0# c", 6, "expected a term or constant, got end of line"),
+    ("x\u00a0+\u0663 <= y \u2003$", 12, "expected end of line, got '$'"),
+]
+
+
+@pytest.mark.parametrize("line, column, message", _STOPS, ids=[repr(s[0])[:24] for s in _STOPS])
+def test_parse_error_names_line_column_and_message(line, column, message):
+    with pytest.raises(ParseError) as excinfo:
+        parse_system(f"mod 10\n# note\n{line}\n")
+    assert (excinfo.value.line, excinfo.value.column) == (3, column)
+    assert str(excinfo.value) == f"line 3, column {column}: {message}"
+
+
+def test_parse_reads_unicode_blanks_and_digits():
+    system = parse_system("mod 10\nx\u00a0+\u0663\u2003<=\u0664\u0665 # c\ny\t-\u0661 >y\n")
+    assert system.constraints == (
+        Constraint(Term(0, 3), Relation.LE, 45),
+        Constraint(Term(1, -1), Relation.GT, Term(1)),
+    )
+
+
 _BLANK = st.sampled_from(["", "", " ", "  ", "\t", "\u00a0", "\u2003", "\x1f"])
 _IDENT = st.one_of(
     st.sampled_from(["x", "y", "mod", "modx", "mod_", "Mod", "x1", "_"]),
