@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Check that two mdlsat trees read and relax alike, then time that front end.
 
-    compare_front.py OLD_ROOT NEW_ROOT [--pairs P] [--seed S]
+    compare_front.py OLD_ROOT NEW_ROOT [--pairs P]
 
 Each ROOT is a checkout whose ``src/mdlsat`` is imported under a package
-name of its own, as in ``compare_solve.py``.  The inputs are seeded
+name of its own, as in ``compare_solve.py``.  The inputs are seed-1
 ``cli.gen_random`` files at N = 2^32 of the size of the relaxation
 benchmark: 100, 200 and 300 variables with 4 or 5 constraints per variable
 and offsets up to 2^20.  Each tree generates each file with its own
@@ -64,7 +64,6 @@ def main(argv=None):
     parser.add_argument("old_root", type=Path, help="checkout whose src/mdlsat is the baseline")
     parser.add_argument("new_root", type=Path, help="checkout whose src/mdlsat is timed against it")
     parser.add_argument("--pairs", type=int, default=20, help="timed pairs of runs per file (default 20)")
-    parser.add_argument("--seed", type=int, default=1, help="seed of the generated files (default 1)")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -75,7 +74,7 @@ def main(argv=None):
     totals = [[0.0] * len(STAGES) for _ in trees]
     for num_vars, per_var in SIZES:
         name = f"v{num_vars}-c{per_var * num_vars}"
-        texts = [t.cli.gen_random(num_vars, per_var * num_vars, 2**20, N, args.seed) for t in trees]
+        texts = [t.cli.gen_random(num_vars, per_var * num_vars, 2**20, N, 1) for t in trees]
         if texts[0] != texts[1]:
             print(f"{name}: the trees generate different files", file=sys.stderr)
             return 1
