@@ -120,7 +120,7 @@ def _emit_model_residues(system: ConstraintSystem, model) -> None:
 
 
 def cmd_solve(args) -> int:
-    with open(args.file) as handle:
+    with open(args.file, encoding="utf-8") as handle:
         system = parse_system(handle.read())
     started = time.monotonic()
     # decide and re-check before emitting, so a refused run leaves stdout empty
@@ -195,15 +195,15 @@ def _decimal(value: int) -> str:
 
 
 def cmd_reduce(args) -> int:
-    with open(args.graph) as handle:
+    with open(args.graph, encoding="utf-8") as handle:
         graph = reductions.parse_dimacs_graph(handle.read())
     variant, modulus = reductions.Variant(args.variant), Modulus(args.mod)
     system, _ = reductions.encode_3col(graph, modulus, variant)
     mdl_path = args.out + ".mdl"
     meta_path = args.out + ".meta"
-    with open(mdl_path, "w") as handle:
+    with open(mdl_path, "w", encoding="utf-8") as handle:
         handle.write(render_system(system))
-    with open(meta_path, "w") as handle:
+    with open(meta_path, "w", encoding="utf-8") as handle:
         handle.write(reductions.render_meta(graph, variant, modulus))
     print(f"wrote {mdl_path} ({system.num_vars} variables, {len(system.constraints)} constraints)")
     print(f"wrote {meta_path}")
@@ -211,10 +211,10 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    with open(args.meta) as handle:
+    with open(args.meta, encoding="utf-8") as handle:
         graph, variant, modulus = reductions.parse_meta(handle.read())
     system, meta = reductions.encode_3col(graph, modulus, variant)
-    with open(args.model) as handle:
+    with open(args.model, encoding="utf-8") as handle:
         assignment = _read_model_lines(handle.read(), system)
     if not satisfies(system, assignment):
         print("model does not satisfy the encoded system", file=sys.stderr)
@@ -279,7 +279,7 @@ def cmd_gen(args) -> int:
             raise _UsageError("gen random needs --vars >= 1, --cons >= 0 and --m >= 0")
         text = gen_random(args.vars, args.cons, args.m, n, args.seed)
     if args.out:
-        with open(args.out, "w") as handle:
+        with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
         print(f"wrote {args.out}")
     else:
@@ -332,16 +332,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, UnicodeDecodeError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except mdl.SelfCheckError as err:
+    except mdl.SelfCheckError as err:  # an MdlError, so it goes first
         print(err, file=sys.stderr)
         return EXIT_INTERNAL
-    except MdlError as err:
+    except (_UsageError, OSError, UnicodeDecodeError, MdlError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

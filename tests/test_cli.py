@@ -1,4 +1,7 @@
 import io
+import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -315,6 +318,30 @@ def test_reduce_solve_decode_pipeline(tmp_path, capsys):
         _, v, c = line.split()
         colors[int(v)] = int(c)
     assert all(colors[v] != colors[w] for v, w in graph.edges)
+
+
+def test_file_commands_do_not_read_or_write_in_the_locale_encoding(tmp_path):
+    # the grammar accepts Unicode digits and blanks, so a file must read the
+    # same under every locale; an ``open`` without ``encoding=`` fails here
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+
+    def cli(*argv):
+        done = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning", "-m", "mdlsat.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert "Traceback" not in done.stderr, done.stderr
+        return done.returncode, done.stdout
+
+    intro = str(tmp_path / "intro.mdl")
+    assert cli("gen", "intro1", "--out", intro)[0] == EXIT_OK
+    assert cli("solve", intro, "--relax")[0] == EXIT_SAT
+    graph_path = write(tmp_path, "c5.col", render_dimacs_graph(Graph.cycle(5)))
+    prefix = str(tmp_path / "c5")
+    assert cli("reduce", graph_path, "--variant", "strict", "--mod", "9", "--out", prefix)[0] == EXIT_OK
+    code, report = cli("solve", prefix + ".mdl")
+    assert code == EXIT_SAT
+    assert cli("decode", prefix + ".meta", write(tmp_path, "model.txt", report))[0] == EXIT_OK
 
 
 def test_decode_rejects_non_model(tmp_path, capsys):

@@ -1,6 +1,7 @@
-"""Every name a module of ``src/mdlsat`` imports is used in that module.
+"""Every name a module of ``src/mdlsat`` or a script of ``scripts/`` imports
+is used in that module or script.
 
-No linter ships with the project, so this walks each module's syntax tree
+No linter ships with the project, so this walks each file's syntax tree
 with the standard ``ast`` module.  ``__init__.py`` imports to re-export, and
 ``from __future__`` imports switch on language features, so both are exempt.
 """
@@ -10,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "mdlsat").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "mdlsat").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
 
 
 def unused_imports(source: str) -> list:

@@ -1,5 +1,5 @@
-"""Smoke test for the demo scripts: each runs against the library in src/
-and exits 0."""
+"""Tests of the scripts: each demo runs against the library in src/ and exits
+0, and compare.py stops at the first difference between two trees."""
 
 import os
 import shutil
@@ -29,20 +29,43 @@ def test_script_runs(argv):
     assert done.returncode == 0, done.stderr
 
 
-def _compare_solve(old_root, new_root):
+def _compare(new_root):
     return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "compare_solve.py"), str(old_root), str(new_root), "--pairs", "2"],
+        [sys.executable, str(ROOT / "scripts" / "compare.py"), str(ROOT), str(new_root), "--pairs", "2"],
         capture_output=True,
         text=True,
         timeout=120,
     )
 
 
-def test_compare_solve_passes_the_repo_against_itself():
-    done = _compare_solve(ROOT, ROOT)
+def _mutant(tmp_path, module, old, new):
+    shutil.copytree(ROOT / "src", tmp_path / "src")
+    path = tmp_path / "src" / "mdlsat" / module
+    text = path.read_text()
+    assert old in text
+    path.write_text(text.replace(old, new))
+    return tmp_path
+
+
+@pytest.fixture(scope="module")
+def self_run():
+    """compare.py's two tables for the repo against itself, run once for both tests."""
+    done = _compare(ROOT)
     assert done.returncode == 0, done.stderr
-    rows = done.stdout.splitlines()[1:]
-    assert [row.split()[:3] for row in rows] == [
+    return [table.splitlines()[1:] for table in done.stdout.split("\n\n")]
+
+
+def test_compare_front_passes_the_repo_against_itself(self_run):
+    front = self_run[0]
+    assert [row.split()[0] for row in front] == [
+        "v100-c400", "v100-c500", "v200-c800", "v200-c1000", "v300-c1200", "v300-c1500", "all"
+    ]
+    assert all(row.endswith("/2") for row in front[:-1])  # pairs won out of 2
+
+
+def test_compare_solve_passes_the_repo_against_itself(self_run):
+    search = self_run[1]
+    assert [row.split()[:3] for row in search] == [
         ["K4", "nonstrict", "UNSAT"],
         ["K4", "strict", "UNSAT"],
         ["W5", "nonstrict", "UNSAT"],
@@ -50,47 +73,20 @@ def test_compare_solve_passes_the_repo_against_itself():
         ["Petersen", "nonstrict", "SAT"],
         ["Petersen", "strict", "SAT"],
     ]
-    assert all(row.endswith("/2") for row in rows)  # pairs won out of 2
+    assert all(row.endswith("/2") for row in search)  # pairs won out of 2
 
 
-def test_compare_solve_stops_where_the_searches_differ(tmp_path):
+def test_compare_stops_where_the_searches_differ(tmp_path):
     # a tree that tries "wrap" first makes other decisions on the first rung
-    shutil.copytree(ROOT / "src", tmp_path / "src")
-    mdl = tmp_path / "src" / "mdlsat" / "mdl.py"
-    text = mdl.read_text()
-    assert "assign(2 * next_free, " in text
-    mdl.write_text(text.replace("assign(2 * next_free, ", "assign(2 * next_free + 1, "))
-    done = _compare_solve(ROOT, tmp_path)
+    done = _compare(_mutant(tmp_path, "mdl.py", "assign(2 * next_free, ", "assign(2 * next_free + 1, "))
     assert done.returncode == 1
     assert "K4 nonstrict: the trees differ" in done.stderr
 
 
-def _compare_front(old_root, new_root):
-    return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "compare_front.py"), str(old_root), str(new_root), "--pairs", "2"],
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-
-
-def test_compare_front_passes_the_repo_against_itself():
-    done = _compare_front(ROOT, ROOT)
-    assert done.returncode == 0, done.stderr
-    rows = done.stdout.splitlines()[1:]
-    assert [row.split()[0] for row in rows] == [
-        "v100-c400", "v100-c500", "v200-c800", "v200-c1000", "v300-c1200", "v300-c1500", "all"
-    ]
-    assert all(row.endswith("/2") for row in rows[:-1])  # pairs won out of 2
-
-
-def test_compare_front_stops_where_the_relaxations_differ(tmp_path):
-    # a tree that reads x < y as x - y <= 0 relaxes the first file differently
-    shutil.copytree(ROOT / "src", tmp_path / "src")
-    idl = tmp_path / "src" / "mdlsat" / "idl.py"
-    text = idl.read_text()
-    assert "Relation.LT: ((False, 1),)," in text
-    idl.write_text(text.replace("Relation.LT: ((False, 1),),", "Relation.LT: ((False, 0),),"))
-    done = _compare_front(ROOT, tmp_path)
+def test_compare_stops_where_the_relaxations_differ(tmp_path):
+    # a tree that reads x < y as x - y <= 0 relaxes the first file differently;
+    # the report names the first differing edge, not the whole edge list
+    done = _compare(_mutant(tmp_path, "idl.py", "Relation.LT: ((False, 1),),", "Relation.LT: ((False, 0),),"))
     assert done.returncode == 1
     assert "v100-c400: the trees differ in the relaxation" in done.stderr
+    assert len(done.stderr) < 500, done.stderr
