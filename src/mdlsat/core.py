@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, NamedTuple, Union
 
@@ -50,15 +49,16 @@ class ParseError(MdlError):
 VarId = int
 
 
-@dataclass(frozen=True)
-class Modulus:
+# a NamedTuple class may not define __new__, so the check goes in a subclass
+class Modulus(NamedTuple("Modulus", [("n", int)])):
     """Wraparound modulus.  N = 1 collapses every residue to 0 and is rejected."""
 
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 2:
-            raise ModulusError(f"modulus must be an integer >= 2, got {self.n!r}")
+    def __new__(cls, n: int):
+        if not isinstance(n, int) or isinstance(n, bool) or n < 2:
+            raise ModulusError(f"modulus must be an integer >= 2, got {n!r}")
+        return tuple.__new__(cls, (n,))
 
 
 class SymbolTable:
@@ -165,24 +165,21 @@ class Constraint(NamedTuple):
 Assignment = dict  # dict[VarId, int]
 
 
-@dataclass
 class ConstraintSystem:
     """An ordered list of constraints over interned variables, with a modulus.
 
     ``num_vars`` and ``max_abs_constant`` (the largest absolute offset or
     constant appearing anywhere, 0 if none) are computed once at construction.
-    Duplicate constraints are kept as written.
+    Duplicate constraints are kept as written.  Systems compare by value.
     """
 
-    modulus: Modulus
-    symbols: SymbolTable
-    constraints: tuple[Constraint, ...]
-    num_vars: int = field(init=False)
-    max_abs_constant: int = field(init=False)
+    __slots__ = ("modulus", "symbols", "constraints", "num_vars", "max_abs_constant")
 
-    def __post_init__(self):
-        self.constraints = tuple(self.constraints)
-        n = self.num_vars = len(self.symbols)
+    def __init__(self, modulus: Modulus, symbols: SymbolTable, constraints: Iterable[Constraint]):
+        self.modulus = modulus
+        self.symbols = symbols
+        self.constraints = tuple(constraints)
+        n = self.num_vars = len(symbols)
         m = 0
         for c in self.constraints:
             lhs, rhs = c.lhs, c.rhs
@@ -197,6 +194,11 @@ class ConstraintSystem:
             if abs(rhs) > m:
                 m = abs(rhs)
         self.max_abs_constant = m
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ConstraintSystem):
+            return NotImplemented
+        return (self.modulus, self.symbols, self.constraints) == (other.modulus, other.symbols, other.constraints)
 
 
 def eval_term(term: Term, assignment: Assignment, modulus: Modulus) -> int:

@@ -36,27 +36,41 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
+from typing import NamedTuple
 
 from .core import ConstraintSystem, Relation, Term, VarId
 
 
-# not frozen: a frozen dataclass sets each field through object.__setattr__,
-# which doubles the cost of building one; hashed by value, so never mutated
-@dataclass(slots=True, unsafe_hash=True)
 class IdlConstraint:
-    """x - y <= k over the integers."""
+    """x - y <= k over the integers.
 
-    x: VarId
-    y: VarId
-    k: int
-    #: index of the source constraint this was translated from, if any
-    origin: int | None = field(default=None, compare=False, repr=False)
+    ``origin`` is the index of the source constraint this was translated
+    from, if any.  Equality, hash and repr leave it out, which a NamedTuple
+    cannot, so this is a slotted class; hashed by value, so never mutated.
+    """
+
+    __slots__ = ("x", "y", "k", "origin")
+
+    def __init__(self, x: VarId, y: VarId, k: int, origin: int | None = None):
+        self.x = x
+        self.y = y
+        self.k = k
+        self.origin = origin
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, IdlConstraint):
+            return NotImplemented
+        return (self.x, self.y, self.k) == (other.x, other.y, other.k)
+
+    def __hash__(self) -> int:
+        return hash((self.x, self.y, self.k))
+
+    def __repr__(self) -> str:
+        return f"IdlConstraint(x={self.x}, y={self.y}, k={self.k})"
 
 
-@dataclass(frozen=True)
-class Relaxation:
+class Relaxation(NamedTuple):
     """Integer reading of a modular system.
 
     Constant comparisons are anchored with a fresh variable standing for 0
@@ -103,8 +117,7 @@ def relax_to_idl(system: ConstraintSystem) -> Relaxation:
     return Relaxation(tuple(out), zero)
 
 
-@dataclass(frozen=True)
-class IdlOutcome:
+class IdlOutcome(NamedTuple):
     """SAT with an integer model, or UNSAT with a negative-cycle certificate."""
 
     sat: bool

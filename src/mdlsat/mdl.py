@@ -27,7 +27,7 @@ concurrently on shared inputs.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import Assignment, ConstraintSystem, MdlError, Term, eval_system
 from .idl import ORIENTED, DiffEngine
@@ -41,8 +41,7 @@ class SelfCheckError(MdlError):
     """An answer failed the solver's own re-check: a bug, not a bad input."""
 
 
-@dataclass(frozen=True)
-class SearchStats:
+class SearchStats(NamedTuple):
     """``nodes`` counts assignments tried by enumeration and decisions by CDCL."""
 
     method: str
@@ -50,8 +49,7 @@ class SearchStats:
     conflicts: int = 0
 
 
-@dataclass(frozen=True)
-class SolveOutcome:
+class SolveOutcome(NamedTuple):
     """SAT with a model, or UNSAT with the search statistics that exhausted it."""
 
     sat: bool
@@ -59,8 +57,7 @@ class SolveOutcome:
     stats: SearchStats
 
 
-@dataclass(frozen=True)
-class DomainBound:
+class DomainBound(NamedTuple):
     """Candidate values near the ends of the residue range.
 
     Membership and size are arithmetic on ``bound`` and ``n``; the
@@ -75,7 +72,7 @@ class DomainBound:
 
     @property
     def size(self) -> int:
-        """The number of candidates; not ``len``, which caps at sys.maxsize."""
+        """The number of candidates; ``len`` counts the two fields, and caps at sys.maxsize."""
         return min(self.n, 2 * self.bound + 2)
 
 

@@ -19,8 +19,8 @@ variant and modulus, so models can be decoded in a separate process.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .core import (
     Assignment,
@@ -47,17 +47,16 @@ class ImproperColoringError(MdlError):
     """The coloring is missing a vertex or colors two adjacent vertices alike."""
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(NamedTuple("Graph", [("n", int), ("edges", frozenset)])):
     """Undirected graph on vertices 0..n-1; edges stored as pairs (v, w), v < w."""
 
-    n: int
-    edges: frozenset
+    __slots__ = ()
 
-    def __post_init__(self):
-        for v, w in self.edges:
-            if not (0 <= v < w < self.n):
-                raise MdlError(f"bad edge ({v}, {w}) for {self.n} vertices")
+    def __new__(cls, n: int, edges: frozenset):
+        for v, w in edges:
+            if not (0 <= v < w < n):
+                raise MdlError(f"bad edge ({v}, {w}) for {n} vertices")
+        return tuple.__new__(cls, (n, edges))
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -92,8 +91,7 @@ class Variant(Enum):
 _MIN_MODULUS = {Variant.NONSTRICT: 4, Variant.STRICT: 9}
 
 
-@dataclass
-class EncodingMeta:
+class EncodingMeta(NamedTuple):
     """Layout of an encoded system: which ids play which role.
 
     ``vertex_vars[v]`` holds the three per-vertex variable ids; ``edge_vars``

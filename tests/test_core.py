@@ -28,9 +28,17 @@ from mdlsat.core import (
 
 def test_modulus_rejects_degenerate_values():
     Modulus(2)
-    for bad in (1, 0, -3, "10", 2.0):
+    for bad in (1, 0, -3, "10", 2.0, 4.0, True):
         with pytest.raises(ModulusError):
             Modulus(bad)
+
+
+def test_modulus_is_immutable_and_compares_by_value():
+    modulus = Modulus(10)
+    with pytest.raises(AttributeError):
+        modulus.n = 11
+    assert modulus == Modulus(10) and hash(modulus) == hash(Modulus(10))
+    assert modulus != Modulus(11)
 
 
 def _holds(text, **values):

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_engine
@@ -69,6 +70,22 @@ def test_relax_records_origins():
     system = parse_system("mod 16\nx >= 0\nx + 1 <= 0\n")
     rel = relax_to_idl(system)
     assert [r.origin for r in rel.constraints] == [0, 1]
+
+
+def test_equality_hash_and_repr_leave_out_the_origin():
+    a, b = IdlConstraint(0, 1, 2, 5), IdlConstraint(0, 1, 2, 7)
+    assert a == b and hash(a) == hash(b)
+    assert a != IdlConstraint(0, 1, 3, 5)
+    assert repr(a) == "IdlConstraint(x=0, y=1, k=2)"
+
+
+def test_relaxations_and_outcomes_are_immutable():
+    rel = relax_to_idl(parse_system("mod 16\nx >= 0\n"))
+    out = solve_idl(rel.constraints)
+    with pytest.raises(AttributeError):
+        rel.zero_var = None
+    with pytest.raises(AttributeError):
+        out.sat = False
 
 
 # --- decision procedure -----------------------------------------------------

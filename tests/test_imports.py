@@ -1,5 +1,5 @@
 """Every name a module of ``src/mdlsat`` or a script of ``scripts/`` imports
-is used in that module or script.
+is used in that module or script, and importing the CLI stays cheap.
 
 No linter ships with the project, so this walks each file's syntax tree
 with the standard ``ast`` module.  ``__init__.py`` imports to re-export, and
@@ -7,6 +7,8 @@ with the standard ``ast`` module.  ``__init__.py`` imports to re-export, and
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,3 +39,15 @@ def test_no_unused_imports(path):
 def test_the_check_sees_an_unused_name():
     source = "from typing import NamedTuple, Optional\nimport os.path\nx: Optional[int] = None\n"
     assert unused_imports(source) == [(1, "NamedTuple"), (2, "os")]
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    """Every ``mdlsat`` run pays for its import, and ``dataclasses``, with
+    the ``inspect`` it pulls in, once took over a third of it.  ``-S`` keeps
+    ``site`` from loading either module first."""
+    probe = (
+        f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); before = set(sys.modules); "
+        "import mdlsat.cli; print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
+    child = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True, check=True)
+    assert child.stdout.strip() == "[]"

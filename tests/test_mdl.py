@@ -142,6 +142,14 @@ def test_solve_huge_modulus():
     assert out.sat and out.model == {0: 2**32 - 1}
 
 
+def test_outcomes_and_stats_are_immutable():
+    out = solve(_intro())
+    with pytest.raises(AttributeError):
+        out.sat = False
+    with pytest.raises(AttributeError):
+        out.stats.nodes = 0
+
+
 def test_solve_unconstrained_variables_get_values():
     symbols = SymbolTable(["a", "b"])
     system = ConstraintSystem(Modulus(9), symbols, ())

@@ -39,6 +39,13 @@ def test_graph_validation():
     assert Graph.from_edges(3, [(2, 0)]).edges == {(0, 2)}
 
 
+def test_graph_is_immutable_and_compares_by_value():
+    with pytest.raises(AttributeError):
+        K3.n = 4
+    assert K3 == Graph(3, frozenset({(0, 1), (0, 2), (1, 2)})) and hash(K3) == hash(Graph.complete(3))
+    assert K3 != K4
+
+
 def test_verify_coloring():
     assert verify_coloring(K3, {0: 0, 1: 1, 2: 2})
     assert not verify_coloring(K3, {0: 0, 1: 0, 2: 2})
