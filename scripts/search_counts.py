@@ -2,8 +2,9 @@
 """Print the search counts of ``mdl.solve`` on a ladder of 3-coloring encodings.
 
 Each rung is a graph encoded by ``encode_3col`` at N = 2^32 in one variant.
-For each rung the script prints the verdict, the decisions, the conflicts
-and the CPU seconds of the ``solve`` call.  The counts are deterministic, so
+For each rung the script prints the verdict, the decisions, the conflicts,
+the static lemmas derived before the search and the CPU seconds of the
+``solve`` call.  The counts are deterministic, so
 a change to the search shows up as a change in them; the CPU time is as
 noisy as the host.
 
@@ -66,7 +67,7 @@ def main():
     parser.add_argument("--random", action="store_true", help="add the random G(n, m) rungs")
     args = parser.parse_args()
 
-    print(f"{'graph':<12} {'variant':<10} {'verdict':<7} {'decisions':>9} {'conflicts':>9} {'cpu_s':>7}")
+    print(f"{'graph':<12} {'variant':<10} {'verdict':<7} {'decisions':>9} {'conflicts':>9} {'lemmas':>7} {'cpu_s':>7}")
     for name, build, variant in LADDER + (RANDOM if args.random else []):
         system, _ = encode_3col(build(), Modulus(N), variant)
         started = time.process_time()
@@ -77,7 +78,7 @@ def main():
             return 2
         verdict = "SAT" if outcome.sat else "UNSAT"
         print(f"{name:<12} {variant.value:<10} {verdict:<7} {outcome.stats.nodes:>9} "
-              f"{outcome.stats.conflicts:>9} {cpu:>7.2f}")
+              f"{outcome.stats.conflicts:>9} {outcome.stats.lemmas:>7} {cpu:>7.2f}")
     return 0
 
 

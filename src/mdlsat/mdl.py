@@ -16,7 +16,8 @@ Entry points:
 
 * ``brute_force_sat`` -- plain enumeration of all N^p assignments, used as an
   independent oracle at desk scale.
-* ``solve`` -- CDCL over wrap literals on ``idl.DiffEngine``.
+* ``solve`` -- CDCL over wrap literals on ``idl.DiffEngine``, seeded with
+  the static lemmas of ``_static_lemmas``.
 * ``small_model_bound`` -- the candidate set D = [0,B] u [N-1-B, N-1], in
   which every model ``solve`` returns lies.
 
@@ -27,6 +28,7 @@ concurrently on shared inputs.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from typing import NamedTuple
 
 from .core import Assignment, ConstraintSystem, MdlError, Term, eval_system
@@ -42,11 +44,13 @@ class SelfCheckError(MdlError):
 
 
 class SearchStats(NamedTuple):
-    """``nodes`` counts assignments tried by enumeration and decisions by CDCL."""
+    """``nodes`` counts assignments tried by enumeration and decisions by CDCL;
+    ``lemmas`` counts the clauses CDCL derives before its search."""
 
     method: str
     nodes: int
     conflicts: int = 0
+    lemmas: int = 0
 
 
 class SolveOutcome(NamedTuple):
@@ -159,6 +163,71 @@ def _wrap_encoding(system: ConstraintSystem):
     return literals, edges
 
 
+def _static_lemmas(literals, edges, n: int, zero: int) -> list:
+    """Clauses over wrap literals that every model satisfies, for ``solve``.
+
+    A model gives each literal the value of its term's wrap, and then
+    satisfies every edge whose guard is true (see ``_wrap_encoding``).  So
+    edges that sum to a negative cycle cannot all have true guards: "not all
+    of their guards" is a clause no model falsifies.  This pass derives the
+    short cycles through the zero vertex once, before the search would meet
+    each of them by conflict (static learning; Bozzano et al., TACAS 2005).
+    Literal i of the term x + k has the threshold t = N-k: it is true when
+    x >= t and false when x <= t-1.  Two kinds of clause come out:
+
+    * the chain: [x >= t2] -> [x >= t1] for neighbouring thresholds t1 < t2
+      of each variable x;
+    * for each constraint edge a - b <= k with guard G, the cycle
+      zero -> a -> b -> zero, negative when a lower bound L of a and an
+      upper bound U of b give L - U > k.  L and U are the range bounds 0
+      and N-1 (0 for the zero vertex), tightened by G's own literals; if
+      they close the cycle, the clause is "not all of G".  Otherwise one
+      more literal bound may, a >= t on a or b <= t-1 on b.  Of each kind
+      only the weakest one that does is taken, found by bisection on the
+      variable's sorted thresholds, and the clause is "not all of G, or not
+      that bound"; the chain implies the weakest bound from any stronger
+      one.  A closing bound that is G's own literal with the other value
+      would make a clause with a literal and its negation, and is skipped.
+
+    A literal's own bound edges and the range bounds close no cycle the
+    chain does not, so they are not visited.  The pass takes O(E log L) for
+    E edges and L literals and gives at most 3E + L clauses, each kept once.
+    None is empty: that would be a negative cycle of unguarded edges, which
+    ``solve`` refuses before it calls this pass.
+    """
+    thresholds: dict = {}  # variable -> its literals' thresholds, ascending
+    codes: dict = {}  # variable -> its literal indices in the same order
+    for i in sorted(range(len(literals)), key=lambda i: -literals[i][1]):
+        x, k = literals[i]
+        thresholds.setdefault(x, []).append(n - k)
+        codes.setdefault(x, []).append(i)
+    lemmas: dict = {}
+    for order in codes.values():
+        for i1, i2 in zip(order, order[1:]):
+            lemmas[(2 * i1 + 1, 2 * i2)] = None
+    for a, b, k, guard in edges[2 * zero + 2 * len(literals) :]:
+        low, high = 0, 0 if b == zero else n - 1
+        for g in guard:
+            x, kg = literals[g >> 1]
+            if g & 1 and x == a:
+                low = max(low, n - kg)
+            elif not g & 1 and x == b:
+                high = min(high, n - kg - 1)
+        clause = tuple(g ^ 1 for g in guard)
+        if low - high > k:
+            lemmas[clause] = None
+            continue
+        if a in thresholds:  # the weakest a >= t with t - high > k
+            j = bisect_left(thresholds[a], k + high + 1)
+            if j < len(thresholds[a]) and 2 * codes[a][j] not in guard:
+                lemmas[(*clause, 2 * codes[a][j])] = None
+        if b in thresholds:  # the weakest b <= t-1 with low - (t-1) > k
+            j = bisect_right(thresholds[b], low - k) - 1
+            if j >= 0 and 2 * codes[b][j] + 1 not in guard:
+                lemmas[(*clause, 2 * codes[b][j] + 1)] = None
+    return list(lemmas)
+
+
 def solve(system: ConstraintSystem) -> SolveOutcome:
     """Decide satisfiability over [0, N-1]^p by CDCL over wrap literals.
 
@@ -169,6 +238,13 @@ def solve(system: ConstraintSystem) -> SolveOutcome:
     and each constraint's edges once all of its literals are set.  A
     negative cycle names the literals behind its edges; their negation is a
     conflict clause.
+
+    Before the search, the clauses of ``_static_lemmas`` (the short cycles
+    through the zero vertex, and the chain of each variable's thresholds)
+    are stored like learned ones, and those of one literal are assigned at
+    level 0; ``stats.lemmas`` counts them.  On the ladder these are nearly
+    all the clauses the search would otherwise learn by conflict, again
+    after every backjump.
 
     The search backtracks chronologically (Nadel & Ryvchin, "Chronological
     backtracking", SAT 2018, at threshold 0), so the trail need not be
@@ -184,10 +260,10 @@ def solve(system: ConstraintSystem) -> SolveOutcome:
     levels from c up, not every level above b, and the decisions between b
     and c are not made again.
 
-    Every clause is learned from a negative cycle and short, two or three
+    Every clause comes from a negative cycle and is short, two or three
     literals on the ladder, so watched literals would save nothing: each is
-    stored once, as learned, under each of its literals, and is scanned
-    whole when one of them turns false.
+    stored once under each of its literals, and is scanned whole when one
+    of them turns false.
 
     Decisions follow the literal numbering and try "no wrap" first; there
     are no restarts, so runs are deterministic.  Worst-case time is
@@ -233,7 +309,7 @@ def solve(system: ConstraintSystem) -> SolveOutcome:
     trail: list = []
     trail_lim: list = []  # trail length at each decision
     edge_lim: list = []  # engine mark at each decision
-    occurs: list = [[] for _ in range(2 * len(literals))]  # literal code -> learned clauses holding it
+    occurs: list = [[] for _ in range(2 * len(literals))]  # literal code -> clauses holding it
     nodes = conflicts = 0
     qhead = 0
     next_free = 0
@@ -311,6 +387,16 @@ def solve(system: ConstraintSystem) -> SolveOutcome:
                 return (uip ^ 1, *rest)
             lits = [lit for lit in reason[uip >> 1] if lit != uip]
 
+    lemmas = _static_lemmas(literals, edges, system.modulus.n, p)
+    for clause in lemmas:
+        if len(clause) > 1:
+            for lit in clause:
+                occurs[lit].append(clause)
+        elif value[clause[0] >> 1] is None:
+            assign(clause[0], 0, clause)
+        elif value[clause[0] >> 1] != clause[0] & 1:  # two units that contradict
+            return SolveOutcome(False, None, SearchStats("cdcl", 0, 1, len(lemmas)))
+
     while True:
         conflict = None
         while conflict is None and qhead < len(trail):
@@ -321,7 +407,7 @@ def solve(system: ConstraintSystem) -> SolveOutcome:
             conflicts += 1
             top = max(level[lit >> 1] for lit in conflict)
             if top == 0:
-                return SolveOutcome(False, None, SearchStats("cdcl", nodes, conflicts))
+                return SolveOutcome(False, None, SearchStats("cdcl", nodes, conflicts, len(lemmas)))
             learnt = analyze(conflict, top)
             back = max((level[lit >> 1] for lit in learnt[1:]), default=0)
             # back to level top - 1: the literals of lower levels above the
@@ -358,4 +444,4 @@ def solve(system: ConstraintSystem) -> SolveOutcome:
     model = {v: greatest[v] for v in range(p)}
     if eval_system(system, model) is not None:
         raise SelfCheckError("internal error: search produced a non-model")
-    return SolveOutcome(True, model, SearchStats("cdcl", nodes, conflicts))
+    return SolveOutcome(True, model, SearchStats("cdcl", nodes, conflicts, len(lemmas)))
