@@ -1,14 +1,22 @@
 #!/usr/bin/env python3
 """Check that two mdlsat trees give the same results in both readings, then time them.
 
-    compare.py OLD_ROOT NEW_ROOT [--pairs P] [--random]
+    compare.py OLD_ROOT NEW_ROOT [FILE ...] [--pairs P] [--random]
 
 Each ROOT is a checkout whose ``src/mdlsat`` is imported under a package
 name of its own, so both trees run in this one process.
 
-The integer front end goes first, on seed-1 ``cli.gen_random`` files at
-N = 2^32 of the relaxation benchmark's size: 100, 200 and 300 variables, 4
-or 5 constraints per variable, offsets up to 2^20.  The two trees' texts,
+The integer front end goes first, on the constraint FILEs, or without them
+on seed-1 ``cli.gen_random`` files at N = 2^32 of the relaxation
+benchmark's size: 100, 200 and 300 variables, 4 or 5 constraints per
+variable, offsets up to 2^20.  Those files all turn UNSAT within their
+first hundred constraints, so ``solve_idl`` sees little of them; any
+``bench/run.py`` run writes the benchmark's own relaxation files to
+``.bench_work/relaxation-seed<N>/*.mdl``, and those can be given instead:
+
+    compare.py OLD NEW .bench_work/relaxation-seed1/*.mdl
+
+The two trees' texts,
 ``parse_system`` systems, ``relax_to_idl`` constraints with their origins
 and ``solve_idl`` outcomes must be equal; so a table both readings share,
 such as ``idl.ORIENTED``, is reported where the relaxation differs.  The
@@ -117,14 +125,23 @@ def front_parts(text, system, relaxation, outcome):
     }
 
 
-def check_front(trees, pairs: int) -> bool:
+def front_inputs(trees, files):
+    """(name, text for each tree) of the given files, or else of each tree's generated files."""
+    if files:
+        return [(path.stem, [path.read_text()] * len(trees)) for path in files]
+    return [
+        (f"v{num_vars}-c{per_var * num_vars}",
+         [t.cli.gen_random(num_vars, per_var * num_vars, 2**20, N, 1) for t in trees])
+        for num_vars, per_var in SIZES
+    ]
+
+
+def check_front(trees, pairs: int, files=()) -> bool:
     """Print the front-end table; False at the first file where the trees differ."""
     columns = " ".join(f"{f'{side}_{stage}':>10}" for stage in STAGES for side in ("old", "new"))
     print(f"{'file':<14} {'verdict':<7} {columns} {'ratio':>6} {'won':>7}")
     totals = [[0.0] * len(STAGES) for _ in trees]
-    for num_vars, per_var in SIZES:
-        name = f"v{num_vars}-c{per_var * num_vars}"
-        texts = [t.cli.gen_random(num_vars, per_var * num_vars, 2**20, N, 1) for t in trees]
+    for name, texts in front_inputs(trees, files):
         old, new = [front_parts(text, *front(t, text)[0]) for t, text in zip(trees, texts)]
         if differ(name, old, new):
             return False
@@ -168,13 +185,15 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("old_root", type=Path, help="checkout whose src/mdlsat is the baseline")
     parser.add_argument("new_root", type=Path, help="checkout whose src/mdlsat is timed against it")
+    parser.add_argument("files", type=Path, nargs="*",
+                        help="constraint files for the front-end table (default: generated ones)")
     parser.add_argument("--pairs", type=int, default=20, help="timed pairs of runs per file and rung (default 20)")
     parser.add_argument("--random", action="store_true", help="add the random G(n, m) rungs")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     trees = [load(args.old_root, "mdlsat_old"), load(args.new_root, "mdlsat_new")]
-    if not check_front(trees, args.pairs):
+    if not check_front(trees, args.pairs, args.files):
         return 1
     # the rung table builds its graphs with a plain ``import mdlsat``
     sys.path.insert(0, str(args.new_root / "src"))

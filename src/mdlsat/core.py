@@ -7,8 +7,10 @@ machine comparisons implement.  This is what separates these constraints
 from their familiar integer reading: ``x <= y - 1`` and ``x + 1 <= y`` say
 different things once values wrap.
 
-All types here are immutable after construction and all operations are
-pure, so shared instances are safe to use concurrently.
+All types here are immutable after construction, except ``SymbolTable``,
+whose ``intern`` adds a name it has not seen; the operations are pure.  The
+library interns names only while it builds a system, so shared systems are
+safe to use concurrently.
 """
 
 from __future__ import annotations

@@ -20,9 +20,10 @@ greatest solution <= 0, off the live edges, with the same Dijkstra as the
 repair.
 
 ``solve_idl`` adds the constraints to one engine in input order, each
-constraint its own reason.  Its model is the greatest solution <= 0, which
-is unique; its certificate is the cycle closed by the first constraint at
-which the input prefix turns unsatisfiable.
+constraint its own reason, and places a vertex where its first constraint is
+tight when the other end is already placed.  Its model is the greatest
+solution <= 0, which is unique; its certificate is a cycle closed by the
+first constraint at which the input prefix turns unsatisfiable.
 
 ``relax_to_idl`` translates a modular system into this integer form by
 ignoring wraparound.  That reading is deliberately neither sound nor
@@ -132,7 +133,9 @@ class DiffEngine:
     through it hands back.  ``pi`` maps every vertex seen so far to an
     integer such that pi[x] - pi[y] <= k holds for every live edge.
     Vertices start at 0, a repair moves them down or up, and ``backtrack``
-    leaves pi where it is: pi is feasible, and nothing more.  The greatest
+    leaves pi where it is: pi is feasible, and nothing more.  A caller may
+    place a vertex by setting its pi before the vertex's first edge, since a
+    vertex without edges can take any value.  The greatest
     solutions are read off with ``greatest``.  Vertices are hashable, and
     the ones a search meets must also order against each other, as ints do.
     """
@@ -311,13 +314,31 @@ def solve_idl(constraints) -> IdlOutcome:
     The model is the greatest solution <= 0: each variable's value is 0 or
     pinned by a tight chain of constraints, and may be negative.  A variable
     absent from every constraint does not appear in the model.  The
-    certificate is the simple cycle closed by the first constraint at which
+    certificate is a simple cycle closed by the first constraint at which
     the input prefix turns unsatisfiable, rotated to start at its smallest
     vertex id.
+
+    When a constraint x - y <= k names a vertex for the first time and its
+    other end already has a potential, the new vertex is placed where the
+    constraint is tight (pi[x] = pi[y] + k, or pi[y] = pi[x] - k) before the
+    edge is added, so the edge needs no repair.  An input that states each
+    variable's bound before its relations then makes far fewer repairs; in
+    other orders the gain is smaller.  Neither the verdict nor the model
+    depends on pi, so the placement changes neither, and the closing
+    constraint is the same too.  Where that constraint closes more than one
+    negative cycle, which of them comes back depends on pi, so it may differ
+    from the cycle an unplaced engine would return.
     """
     engine = DiffEngine()
+    pi = engine.pi
     for c in constraints:
-        cycle = engine.add(c.x, c.y, c.k, c)  # each constraint is its own reason
+        x, y, k = c.x, c.y, c.k
+        if x not in pi:
+            if y in pi:
+                pi[x] = pi[y] + k  # a new vertex goes where its first edge is tight
+        elif y not in pi:
+            pi[y] = pi[x] - k
+        cycle = engine.add(x, y, k, c)  # each constraint is its own reason
         if cycle is not None:
             first = min(range(len(cycle)), key=lambda i: cycle[i].x)
             return IdlOutcome(False, None, cycle[first:] + cycle[:first])

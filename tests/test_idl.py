@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_engine
+from conftest import time_limit
 from mdlsat.core import parse_system
 from mdlsat.idl import (
     DiffEngine,
@@ -300,6 +301,76 @@ def test_engine_matches_the_reference_engine_around_a_busy_vertex(seed):
         assert engine.greatest() == reference.greatest()
         root = rng.randrange(6)
         assert engine.greatest(root) == reference.greatest(root)
+
+
+def _planted_idl(rng, size, bound_slack, relation_slack):
+    """Bounds and relations that a planted model satisfies, as two lists.
+
+    Vertex ``size`` stands for 0.  Each vertex gets one bound v - zero <= k
+    or zero - v <= k, and there are 3 * size relations x - y <= k; each
+    constraint's slack at the model is drawn from its range.  Vertex 0 is
+    planted at 0 too, so its bound, which names two new vertices, holds
+    where both start.
+    """
+    zero = size
+    value = [0] + [rng.randint(0, 10**6) for _ in range(size - 1)] + [0]
+    bounds = []
+    for v in range(size):
+        s = rng.randint(*bound_slack)
+        bounds.append(c(v, zero, value[v] + s) if rng.random() < 0.5 else c(zero, v, s - value[v]))
+    relations = []
+    for _ in range(3 * size):
+        x, y = rng.sample(range(size), 2)
+        relations.append(c(x, y, value[x] - value[y] + rng.randint(*relation_slack)))
+    return bounds, relations
+
+
+def test_vertices_placed_by_their_bounds_need_no_repair(monkeypatch):
+    # each vertex is first named by its bound, so it is placed within 3 of
+    # the model, and no relation with slack 6 or more is then violated
+    bounds, relations = _planted_idl(random.Random(5), 40, (0, 3), (6, 20))
+    calls = []
+    dijkstra = DiffEngine._dijkstra
+
+    def counted(self, *args, **kwargs):
+        calls.append(args[2:])  # a repair passes the side, the cap and the stop vertex
+        return dijkstra(self, *args, **kwargs)
+
+    monkeypatch.setattr(DiffEngine, "_dijkstra", counted)
+    out = solve_idl(bounds + relations)
+    assert calls == [()]  # greatest's one search, and no repair
+    assert out.sat
+    assert out.model == _greatest_at_most_zero(range(len(bounds) + 1), bounds + relations)
+
+
+@pytest.mark.parametrize("order", ["bounds-first", "shuffled", "relations-only"])
+def test_placement_keeps_the_verdict_model_and_closing_constraint(order):
+    # solve_idl places new vertices; the reference engine, fed the same
+    # constraints in order with every vertex at 0, must agree with it on
+    # all that does not depend on pi
+    for seed in range(150):
+        rng = random.Random(seed)
+        bounds, relations = _planted_idl(rng, rng.randint(2, 12), (0, 4), (-2, 8))
+        constraints = {
+            "bounds-first": bounds + relations,
+            "shuffled": rng.sample(bounds + relations, len(bounds) + len(relations)),
+            "relations-only": relations,
+        }[order]
+        index = {id(e): i for i, e in enumerate(constraints)}
+        reference = reference_engine.DiffEngine()
+        closing = None
+        for i, e in enumerate(constraints):
+            if reference.add(e.x, e.y, e.k, e) is not None:
+                closing = i
+                break
+        with time_limit(10.0):  # a repair on an infeasible potential may never return
+            out = solve_idl(constraints)
+        assert out.sat == (closing is None), seed
+        if out.sat:
+            assert out.model == dict(sorted(reference.greatest().items()))
+        else:
+            assert check_idl_cycle(out.cycle)
+            assert max(index[id(e)] for e in out.cycle) == closing
 
 
 # --- properties -------------------------------------------------------------

@@ -369,6 +369,42 @@ def test_solve_matches_oracle_when_terms_wrap(seed):
         assert satisfies(system, out.model)
 
 
+def _planted_relations(seed: int) -> ConstraintSystem:
+    """2-4 variables mod 5-16 and 3-6 relations x + k REL y + l per variable.
+
+    Each relation holds at a planted model, except that one in ten draws its
+    relation at random, so some systems are UNSAT.
+    """
+    rng = random.Random(seed)
+    p, n = rng.randint(2, 4), rng.randint(5, 16)
+    value = [rng.randrange(n) for _ in range(p)]
+    relations = [r for r in Relation if r is not Relation.EQ]
+    constraints = []
+    for _ in range(rng.randint(3 * p, 6 * p)):
+        x, y = rng.sample(range(p), 2)
+        lhs, rhs = Term(x, rng.randrange(n)), Term(y, rng.randrange(n))
+        held = [r for r in relations if r.holds((value[x] + lhs.offset) % n, (value[y] + rhs.offset) % n)]
+        constraints.append(Constraint(lhs, rng.choice(relations if rng.random() < 0.1 else held), rhs))
+    return ConstraintSystem(Modulus(n), SymbolTable(f"x{i}" for i in range(p)), constraints)
+
+
+def test_solve_matches_oracle_where_the_search_meets_conflicts():
+    # the static lemmas decide most gen_random systems before any conflict;
+    # these denser ones still reach conflict analysis, 424 conflicts in all
+    # when this test was written, and the floor notices when they stop
+    conflicts = unsat = 0
+    for seed in range(200):
+        system = _planted_relations(seed)
+        out = solve(system)
+        assert out.sat == brute_force_sat(system).sat, seed
+        if out.sat:
+            assert satisfies(system, out.model)
+        conflicts += out.stats.conflicts
+        unsat += not out.sat
+    assert 20 <= unsat <= 180
+    assert conflicts >= 200
+
+
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_solve_models_lie_in_the_small_model_bound(data):

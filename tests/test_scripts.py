@@ -29,9 +29,10 @@ def test_script_runs(argv):
     assert done.returncode == 0, done.stderr
 
 
-def _compare(new_root):
+def _compare(new_root, *files):
     return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "compare.py"), str(ROOT), str(new_root), "--pairs", "2"],
+        [sys.executable, str(ROOT / "scripts" / "compare.py"), str(ROOT), str(new_root), *map(str, files),
+         "--pairs", "2"],
         capture_output=True,
         text=True,
         timeout=120,
@@ -74,6 +75,16 @@ def test_compare_solve_passes_the_repo_against_itself(self_run):
         ["Petersen", "strict", "SAT"],
     ]
     assert all(row.endswith("/2") for row in search)  # pairs won out of 2
+
+
+def test_compare_front_reads_the_files_it_is_given(tmp_path):
+    (tmp_path / "sat.mdl").write_text("mod 16\nx + 1 <= y\n")
+    (tmp_path / "unsat.mdl").write_text("mod 16\nx >= 0\nx + 1 <= 0\n")
+    done = _compare(ROOT, tmp_path / "sat.mdl", tmp_path / "unsat.mdl")
+    assert done.returncode == 0, done.stderr
+    front = done.stdout.split("\n\n")[0].splitlines()[1:]
+    assert [row.split()[:2] for row in front[:-1]] == [["sat", "SAT"], ["unsat", "UNSAT"]]
+    assert front[-1].split()[0] == "all"
 
 
 def test_compare_stops_where_the_searches_differ(tmp_path):
