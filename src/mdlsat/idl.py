@@ -9,12 +9,10 @@ violates runs a Dijkstra repair over reduced costs (Cotton & Maler, "Fast
 and Flexible Difference Constraint Propagation for DPLL(T)", SAT 2006) from
 both ends at once: lowering x and what it pushes down races raising y and
 what it pushes up, and the side that finishes first is applied.  A side
-whose root alone can move settles without the race, and a search that
-settles a busy vertex looks for the edge back to the other end in that
-end's much shorter list first.  Either side can instead return the reasons of
-the simple negative cycle the new edge closed -- an unsatisfiability
-certificate whose inequalities sum to 0 <= (negative).  Retracting edges
-back to a mark keeps pi feasible.
+whose root alone can move settles without the race.  Either side can
+instead return the reasons of the simple negative cycle the new edge
+closed -- an unsatisfiability certificate whose inequalities sum to
+0 <= (negative).  Retracting edges back to a mark keeps pi feasible.
 ``greatest`` reads the greatest solution relative to one vertex, or the
 greatest solution <= 0, off the live edges, with the same Dijkstra as the
 repair.
@@ -265,22 +263,12 @@ class DiffEngine:
         search ends as soon as ``stop`` is offered one.  parent[v] =
         (reason, u) records the edge that last offered v a distance.
 
-        When u's edge list is more than twice as long as stop's list of
-        edges from this side (``_out[stop]`` when lowering, ``_into[stop]``
-        when raising), as at a hub, the short list is looked through first
-        for edges between stop and u.  Both lists hold the live edges in
-        trail order, so the first one that offers stop a distance below
-        ``cap`` is the edge u's own scan would meet first, and the search
-        ends there.  Only when there is none is u's own list scanned, and
-        that scan then cannot reach stop.
-
         This is a generator: after settling each vertex it yields the work
         that step charged, the length of the edge list of each vertex it
         queued.
         """
         pi = self.pi
         edges, far, sign = (self._out, 1, -1) if raising else (self._into, 0, 1)
-        back = (self._into if raising else self._out).get(stop, ())  # stop's edges from this side
         frontier = [(d, v) for v, d in dist.items()]
         heapify(frontier)
         while frontier:
@@ -288,14 +276,8 @@ class DiffEngine:
             if d > dist[u]:
                 continue  # a stale entry; u was settled nearer
             base = d + sign * pi[u]
-            scan = edges.get(u, ())
-            if len(scan) > 2 * len(back):
-                for edge in back:
-                    if edge[1 - far] == u and base + edge[2] - sign * pi[stop] < cap:
-                        parent[stop] = (edge[3], u)
-                        return
             work = 0
-            for edge in scan:
+            for edge in edges.get(u, ()):
                 v = edge[far]
                 r = base + edge[2] - sign * pi[v]
                 if r < dist.get(v, cap):

@@ -188,14 +188,10 @@ def coloring_to_witness(graph: Graph, coloring: Coloring, modulus: Modulus, vari
     the non-strict variant, (N-2, 1, 4) in the strict one; per-edge variables
     are set by which endpoint, if either, owns the color.
     """
-    if modulus.n < _MIN_MODULUS[variant]:
-        raise ModulusTooSmallError(
-            f"{variant.value} witness needs modulus >= {_MIN_MODULUS[variant]}, got {modulus.n}"
-        )
+    _, meta = encode_3col(graph, modulus, variant)  # checks the modulus first
     if not verify_coloring(graph, coloring):
         raise ImproperColoringError("not a proper 3-coloring of the graph")
     n = modulus.n
-    _, meta = encode_3col(graph, modulus, variant)
     spread = (n - 1, 0, 1) if variant is Variant.NONSTRICT else (n - 2, 1, 4)
     witness: Assignment = {}
     for v, ids in enumerate(meta.vertex_vars):

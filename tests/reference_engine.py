@@ -1,9 +1,12 @@
 """The ``DiffEngine`` that ``mdlsat.idl`` had before its repairs learned
-two short cuts, kept verbatim as a test oracle for the engine.
+the one-step repair, kept verbatim as a test oracle for the engine.
 
 It builds the two-sided race for every violated add except when a root has
-no edge at all, and each search scans a settled vertex's own edge list to
-find the stop vertex.  ``tests/test_idl.py`` drives it and the current
+no edge at all.  The engine in ``mdlsat.idl`` now differs from it only by
+the one-step repair: it also moves the root of the side the race steps
+first without the race when that move breaks none of the root's edges.
+Both engines' searches find the stop vertex by scanning each settled
+vertex's own edge list.  ``tests/test_idl.py`` drives it and the current
 engine through the same adds and backtracks and checks that they return the
 same cycles, keep the same potential and read off the same greatest
 solutions.

@@ -93,6 +93,8 @@ def test_encoding_modulus_thresholds():
         encode_3col(K3, Modulus(3), Variant.NONSTRICT)
     with pytest.raises(ModulusTooSmallError):
         encode_3col(K3, Modulus(8), Variant.STRICT)
+    with pytest.raises(ModulusTooSmallError):  # before the improper coloring
+        coloring_to_witness(K3, {0: 0, 1: 0, 2: 0}, Modulus(8), Variant.STRICT)
     encode_3col(K3, Modulus(4), Variant.NONSTRICT)
     encode_3col(K3, Modulus(9), Variant.STRICT)
 
