@@ -22,7 +22,8 @@ and ``solve_idl`` outcomes must be equal; so a table both readings share,
 such as ``idl.ORIENTED``, is reported where the relaxation differs.  The
 modular search goes second, on the rungs of ``search_counts.py``
 (``--random`` adds its random rungs), each encoded by each tree's own
-``encode_3col``: verdict, decisions, conflicts and model must be equal.
+``encode_3col``: verdict, decisions, conflicts, static lemmas and model
+must be equal.
 
 At the first difference the script names the file or rung, the part and
 its first differing item in both trees, and exits 1.  Otherwise it makes P
@@ -158,7 +159,7 @@ def check_front(trees, pairs: int, files=()) -> bool:
 
 def check_search(trees, pairs: int, rungs) -> bool:
     """Print the search table; False at the first rung where the trees differ."""
-    print(f"{'graph':<12} {'variant':<10} {'verdict':<7} {'decisions':>9} {'conflicts':>9} "
+    print(f"{'graph':<12} {'variant':<10} {'verdict':<7} {'decisions':>9} {'conflicts':>9} {'lemmas':>6} "
           f"{'old_ms':>8} {'new_ms':>8} {'ratio':>6} {'won':>7}")
     for name, build, variant in rungs:
         graph = build()
@@ -169,14 +170,15 @@ def check_search(trees, pairs: int, rungs) -> bool:
         ]
         outcomes = [t.mdl.solve(s) for t, s in zip(trees, systems)]
         old, new = [
-            {"verdict, decisions and conflicts": (o.sat, o.stats.nodes, o.stats.conflicts), "model": _model(o.model)}
+            {"verdict, decisions, conflicts and lemmas": (o.sat, o.stats.nodes, o.stats.conflicts, o.stats.lemmas),
+             "model": _model(o.model)}
             for o in outcomes
         ]
         if differ(f"{name} {variant.value}", old, new):
             return False
         medians, ratio, won = paired(pairs, lambda side: search(trees[side], systems[side]))
-        sat, decisions, conflicts = old["verdict, decisions and conflicts"]
-        print(f"{name:<12} {variant.value:<10} {'SAT' if sat else 'UNSAT':<7} {decisions:>9} {conflicts:>9} "
+        sat, decisions, conflicts, lemmas = old["verdict, decisions, conflicts and lemmas"]
+        print(f"{name:<12} {variant.value:<10} {'SAT' if sat else 'UNSAT':<7} {decisions:>9} {conflicts:>9} {lemmas:>6} "
               f"{1e3 * medians[0][0]:>8.2f} {1e3 * medians[1][0]:>8.2f} {ratio:>6.3f} {f'{won}/{pairs}':>7}")
     return True
 

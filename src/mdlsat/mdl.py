@@ -17,7 +17,7 @@ Entry points:
 * ``brute_force_sat`` -- plain enumeration of all N^p assignments, used as an
   independent oracle at desk scale.
 * ``solve`` -- CDCL over wrap literals on ``idl.DiffEngine``, seeded with
-  the static lemmas of ``_static_lemmas``.
+  the static lemmas that ``_wrap_theory`` derives as it encodes.
 * ``small_model_bound`` -- the candidate set D = [0,B] u [N-1-B, N-1], in
   which every model ``solve`` returns lies.
 
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right
+from operator import itemgetter
 from typing import NamedTuple
 
 from .core import Assignment, ConstraintSystem, MdlError, Term, eval_system
@@ -106,132 +107,132 @@ def brute_force_sat(system: ConstraintSystem, budget: int = 10_000_000) -> Solve
     return SolveOutcome(False, None, SearchStats("enumeration", count))
 
 
-def _wrap_encoding(system: ConstraintSystem):
-    """Wrap literals and guarded difference edges of a system, for ``solve``.
+def _wrap_theory(system: ConstraintSystem):
+    """Wrap literals, guarded difference edges and static lemmas, for ``solve``.
 
     With 0 <= x < N and k reduced into [0, N), the term x + k evaluates to
-    x + k - N*w for the literal w = [x >= N-k]; a term with k = 0 never
-    wraps and has no literal.  A constant right-hand side r is the term
-    ``zero + (r mod N)`` on the extra vertex ``zero`` = p, which also never
-    wraps.  Literals are numbered in decision order: grouped by variable in
-    id order, and by first occurrence within a variable.  Literal i with
-    value w has the code 2*i + w: 2*i + 1 says its term wraps, 2*i that it
-    does not.
+    x + k - N*w for the literal w = [x >= N-k]: true when x >= N-k, false
+    when x <= N-k-1.  A term with k = 0 never wraps and has no literal.  A
+    constant right-hand side r is the term ``zero + (r mod N)`` on the extra
+    vertex ``zero`` = p, which also never wraps.  Literals are numbered in
+    decision order: grouped by variable in id order, and by first occurrence
+    within a variable.  Literal i with value w has the code 2*i + w.
 
-    Returns the literals as (variable, k) pairs, and the edges as
-    (a, b, k, guard): a - b <= k holds once every literal code in the tuple
-    ``guard`` is true.  In order, the edges are:
+    An edge (a, b, k, guard) says a - b <= k once every literal code in the
+    tuple ``guard`` is true.  The edges are the range bounds zero - v <= 0
+    and v - zero <= N-1 of each variable, each literal's bounds, and each
+    constraint's edges, one copy per value of the literals la, lb of its
+    terms: a - b <= kb - ka - t + N*(wa - wb), guarded by the codes of la
+    and lb in that order.  A term without a literal contributes 0.
 
-    * the range bounds zero - v <= 0 and v - zero <= N-1 of each variable,
-      unguarded;
-    * each literal's bounds, x >= N-k when it is true and x <= N-k-1 when
-      it is false;
-    * each constraint's edges, one copy per value of the literals la, lb of
-      its terms: a - b <= kb - ka - t + N*(wa - wb), guarded by the codes of
-      la and lb in that order.  A term without a literal contributes 0, and
-      an edge without literals is unguarded.
+    A model gives each literal the value of its term's wrap and satisfies
+    every edge whose guard is true, so edges that sum to a negative cycle
+    cannot all have true guards: "not all of their guards" is a clause no
+    model falsifies.  The lemmas are the short cycles through the zero
+    vertex, derived once before the search would meet each of them by
+    conflict (static learning; Bozzano et al., TACAS 2005):
+
+    * the chain [x >= t2] -> [x >= t1] for neighbouring thresholds t1 < t2
+      (t = N-k) of each variable x;
+    * for each constraint edge a - b <= k with guard G, the cycle
+      zero -> a -> b -> zero, negative when a lower bound L of a and an
+      upper bound U of b give L - U > k.  L and U are the range bounds 0
+      and N-1 (0 for the zero vertex), tightened by G's own literals, each
+      of which bounds both ends when a and b are one variable; if they close
+      the cycle, the clause is "not all of G".  Otherwise one more literal
+      bound may, a >= t on a or b <= t-1 on b.  Of each kind only the
+      weakest one that does is taken, found by bisection on the variable's
+      sorted thresholds, and the clause is "not all of G, or not that
+      bound"; the chain implies the weakest bound from any stronger one.  A
+      closing bound that is G's own literal with the other value would make
+      a clause with a literal and its negation, and is skipped.
+
+    A literal's own bound edges and the range bounds close no cycle the
+    chain does not, so they give no lemma.  The empty clause comes out only
+    for a negative cycle of unguarded edges, which ``solve`` refuses at
+    level 0 before it reads the lemmas.
+
+    One walk over the constraints numbers the literals; a second creates
+    each edge, files it under each code of its guard, and derives its
+    lemmas, in O(E log L) for E edges and L literals, with at most 3E + L
+    lemmas, each kept once.  Returns the literals as (variable, k) pairs,
+    the unguarded edges in order, the list of edges each literal code
+    guards, and the lemmas as tuples of codes.
     """
     n = system.modulus.n
     zero = system.num_vars
-    first_seen: dict = {}  # (variable, k) -> first occurrence
+    terms: dict = {}  # the (variable, k) of each literal, in order of first occurrence
     rows = []
     for c in system.constraints:
         lhs = (c.lhs.var, c.lhs.offset % n)
         rhs = (c.rhs.var, c.rhs.offset % n) if isinstance(c.rhs, Term) else (zero, c.rhs % n)
-        for term in (lhs, rhs):
-            if term[1] and term[0] != zero:
-                first_seen.setdefault(term, len(first_seen))
+        if lhs[1]:
+            terms[lhs] = None
+        if rhs[1] and rhs[0] != zero:
+            terms[rhs] = None
         rows.append((c.rel, lhs, rhs))
-    literals = sorted(first_seen, key=lambda term: (term[0], first_seen[term]))
-    index = {term: i for i, term in enumerate(literals)}
-    edges = []
+    literals = sorted(terms, key=itemgetter(0))  # stable: first occurrence within a variable
+    thresholds: dict = {}  # variable -> its literals' thresholds, ascending
+    codes: dict = {}  # variable -> their false codes 2*i in the same order
+    # by k descending, then by index, which also orders the chain lemmas
+    for neg_k, i, x in sorted([(-k, i, x) for i, (x, k) in enumerate(literals)]):
+        thresholds.setdefault(x, []).append(n + neg_k)
+        codes.setdefault(x, []).append(2 * i)
+    lemmas = dict.fromkeys((c1 + 1, c2) for order in codes.values() for c1, c2 in itertools.pairwise(order))
+    unguarded = []
     for v in range(zero):
-        edges += [(zero, v, 0, ()), (v, zero, n - 1, ())]
-    values = {None: ((0, ()),)}  # literal index -> its values and their guards
+        unguarded += [(zero, v, 0, ()), (v, zero, n - 1, ())]
+    guarded: list = []  # literal code -> the edges it guards, in edge order
+    values: dict = {}  # term -> per value w: N*w, guard, negated guard, bounds low <= x <= high
     for i, (x, k) in enumerate(literals):
-        edges += [(zero, x, k - n, (2 * i + 1,)), (x, zero, n - k - 1, (2 * i,))]
-        values[i] = ((0, (2 * i,)), (1, (2 * i + 1,)))
+        false, true = (2 * i,), (2 * i + 1,)
+        guarded += [[(x, zero, n - k - 1, false)], [(zero, x, k - n, true)]]
+        values[x, k] = ((0, false, true, 0, n - k - 1), (n, true, false, n - k, n - 1))
+    plain = ((0, (), (), 0, n - 1),)  # a term without a literal
+    at_zero = ((0, (), (), 0, 0),)  # the zero vertex is pinned at 0
     for rel, lhs, rhs in rows:
         for swap, t in ORIENTED[rel]:
             (a, ka), (b, kb) = (rhs, lhs) if swap else (lhs, rhs)
-            la, lb = index.get((a, ka)), index.get((b, kb))
-            if la == lb:  # the same term twice: the wraps cancel
-                la = lb = None
-            for wa, ga in values[la]:
-                for wb, gb in values[lb]:
-                    edges.append((a, b, kb - ka - t + n * (wa - wb), ga + gb))
-    return literals, edges
-
-
-def _static_lemmas(literals, edges, n: int, zero: int) -> list:
-    """Clauses over wrap literals that every model satisfies, for ``solve``.
-
-    A model gives each literal the value of its term's wrap, and then
-    satisfies every edge whose guard is true (see ``_wrap_encoding``).  So
-    edges that sum to a negative cycle cannot all have true guards: "not all
-    of their guards" is a clause no model falsifies.  This pass derives the
-    short cycles through the zero vertex once, before the search would meet
-    each of them by conflict (static learning; Bozzano et al., TACAS 2005).
-    Literal i of the term x + k has the threshold t = N-k: it is true when
-    x >= t and false when x <= t-1.  Two kinds of clause come out:
-
-    * the chain: [x >= t2] -> [x >= t1] for neighbouring thresholds t1 < t2
-      of each variable x;
-    * for each constraint edge a - b <= k with guard G, the cycle
-      zero -> a -> b -> zero, negative when a lower bound L of a and an
-      upper bound U of b give L - U > k.  L and U are the range bounds 0
-      and N-1 (0 for the zero vertex), tightened by G's own literals; if
-      they close the cycle, the clause is "not all of G".  Otherwise one
-      more literal bound may, a >= t on a or b <= t-1 on b.  Of each kind
-      only the weakest one that does is taken, found by bisection on the
-      variable's sorted thresholds, and the clause is "not all of G, or not
-      that bound"; the chain implies the weakest bound from any stronger
-      one.  A closing bound that is G's own literal with the other value
-      would make a clause with a literal and its negation, and is skipped.
-
-    A literal's own bound edges and the range bounds close no cycle the
-    chain does not, so they are not visited.  The pass takes O(E log L) for
-    E edges and L literals and gives at most 3E + L clauses, each kept once.
-    None is empty: that would be a negative cycle of unguarded edges, which
-    ``solve`` refuses before it calls this pass.
-    """
-    thresholds: dict = {}  # variable -> its literals' thresholds, ascending
-    codes: dict = {}  # variable -> its literal indices in the same order
-    for i in sorted(range(len(literals)), key=lambda i: -literals[i][1]):
-        x, k = literals[i]
-        thresholds.setdefault(x, []).append(n - k)
-        codes.setdefault(x, []).append(i)
-    lemmas: dict = {}
-    for order in codes.values():
-        for i1, i2 in zip(order, order[1:]):
-            lemmas[(2 * i1 + 1, 2 * i2)] = None
-    for a, b, k, guard in edges[2 * zero + 2 * len(literals) :]:
-        low, high = 0, 0 if b == zero else n - 1
-        for g in guard:
-            x, kg = literals[g >> 1]
-            if g & 1 and x == a:
-                low = max(low, n - kg)
-            elif not g & 1 and x == b:
-                high = min(high, n - kg - 1)
-        clause = tuple(g ^ 1 for g in guard)
-        if low - high > k:
-            lemmas[clause] = None
-            continue
-        if a in thresholds:  # the weakest a >= t with t - high > k
-            j = bisect_left(thresholds[a], k + high + 1)
-            if j < len(thresholds[a]) and 2 * codes[a][j] not in guard:
-                lemmas[(*clause, 2 * codes[a][j])] = None
-        if b in thresholds:  # the weakest b <= t-1 with low - (t-1) > k
-            j = bisect_right(thresholds[b], low - k) - 1
-            if j >= 0 and 2 * codes[b][j] + 1 not in guard:
-                lemmas[(*clause, 2 * codes[b][j] + 1)] = None
-    return list(lemmas)
+            if lhs == rhs:  # the same term twice: the wraps cancel
+                va = vb = plain
+            else:
+                va, vb = values.get((a, ka), plain), values.get((b, kb), plain if b != zero else at_zero)
+            base = kb - ka - t
+            ta, tb = thresholds.get(a), thresholds.get(b)
+            ca, cb = codes.get(a), codes.get(b)
+            same = a == b
+            for wa, ga, na, low_a, high_a in va:
+                for wb, gb, nb, low_b, high_b in vb:
+                    k = base + wa - wb
+                    guard = ga + gb
+                    edge = (a, b, k, guard)
+                    if not guard:
+                        unguarded.append(edge)
+                    for g in guard:
+                        guarded[g].append(edge)
+                    if same:
+                        low, high = max(low_a, low_b), min(high_a, high_b)
+                    else:
+                        low, high = low_a, high_b
+                    clause = na + nb
+                    if low - high > k:
+                        lemmas[clause] = None
+                        continue
+                    if ta is not None:  # the weakest a >= t with t - high > k
+                        j = bisect_left(ta, k + high + 1)
+                        if j < len(ta) and ca[j] not in guard:
+                            lemmas[(*clause, ca[j])] = None
+                    if tb is not None:  # the weakest b <= t-1 with low - (t-1) > k
+                        j = bisect_right(tb, low - k) - 1
+                        if j >= 0 and cb[j] + 1 not in guard:
+                            lemmas[(*clause, cb[j] + 1)] = None
+    return literals, unguarded, guarded, list(lemmas)
 
 
 def solve(system: ConstraintSystem) -> SolveOutcome:
     """Decide satisfiability over [0, N-1]^p by CDCL over wrap literals.
 
-    Each wrap literal (see ``_wrap_encoding``) fixes whether one term wraps.
+    Each wrap literal (see ``_wrap_theory``) fixes whether one term wraps.
     Under a partial assignment the system is a set of integer difference
     constraints on ``DiffEngine``: the bounds 0 <= x <= N-1 against the
     zero vertex, x >= N-k for a true literal and x <= N-k-1 for a false one,
@@ -239,12 +240,14 @@ def solve(system: ConstraintSystem) -> SolveOutcome:
     negative cycle names the literals behind its edges; their negation is a
     conflict clause.
 
-    Before the search, the clauses of ``_static_lemmas`` (the short cycles
-    through the zero vertex, and the chain of each variable's thresholds)
-    are stored like learned ones, and those of one literal are assigned at
-    level 0; ``stats.lemmas`` counts them.  On the ladder these are nearly
-    all the clauses the search would otherwise learn by conflict, again
-    after every backjump.
+    The unguarded edges go in first, and a negative cycle among them is
+    UNSAT with 0 decisions, 1 conflict and 0 lemmas.  Then the static
+    lemmas that ``_wrap_theory`` derives in the same pass as the edges (the
+    short cycles through the zero vertex, and the chain of each variable's
+    thresholds) are stored like learned ones, and those of one literal are
+    assigned at level 0; ``stats.lemmas`` counts them.  On the ladder these
+    are nearly all the clauses the search would otherwise learn by
+    conflict, again after every backjump.
 
     The search backtracks chronologically (Nadel & Ryvchin, "Chronological
     backtracking", SAT 2018, at threshold 0), so the trail need not be
@@ -291,15 +294,11 @@ def solve(system: ConstraintSystem) -> SolveOutcome:
     The model is re-checked against the system before it is returned.
     """
     p = system.num_vars
-    literals, edges = _wrap_encoding(system)
+    literals, unguarded, guarded, lemmas = _wrap_theory(system)
     engine = DiffEngine()
-    guarded: list = [[] for _ in range(2 * len(literals))]  # literal code -> edges it guards
-    for edge in edges:
-        if not edge[3]:
-            if engine.add(*edge) is not None:
-                return SolveOutcome(False, None, SearchStats("cdcl", 0, 1))
-        for lit in edge[3]:
-            guarded[lit].append(edge)
+    for edge in unguarded:
+        if engine.add(*edge) is not None:
+            return SolveOutcome(False, None, SearchStats("cdcl", 0, 1))
 
     # indexed by literal i; the trail and clauses hold codes 2*i + value
     value: list = [None] * len(literals)
@@ -387,7 +386,6 @@ def solve(system: ConstraintSystem) -> SolveOutcome:
                 return (uip ^ 1, *rest)
             lits = [lit for lit in reason[uip >> 1] if lit != uip]
 
-    lemmas = _static_lemmas(literals, edges, system.modulus.n, p)
     for clause in lemmas:
         if len(clause) > 1:
             for lit in clause:

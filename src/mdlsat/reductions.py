@@ -121,22 +121,23 @@ def encode_3col(graph: Graph, modulus: Modulus, variant: Variant) -> tuple[Const
     rel = Relation.LT if strict else Relation.LE
     step = 2 if strict else 1
     symbols = SymbolTable()
+    new = tuple.__new__  # skips the NamedTuples' Python-level __new__, as ``parse_system`` does
     constraints: list[Constraint] = []
     vertex_vars = []
     for v in range(graph.n):
         ids = tuple(symbols.intern(f"v{v}_c{c}") for c in range(3))
         vertex_vars.append(ids)
         for c in range(3):
-            constraints.append(Constraint(Term(ids[c], step), rel, Term(ids[(c + 1) % 3])))
+            constraints.append(new(Constraint, (new(Term, (ids[c], step)), rel, new(Term, (ids[(c + 1) % 3], 0)))))
     edge_vars = {}
     for u, w in graph.sorted_edges():
         for c in range(3):
             e = symbols.intern(f"e{u}_{w}_c{c}")
             f = symbols.intern(f"f{u}_{w}_c{c}")
             edge_vars[((u, w), c)] = (e, f)
-            constraints.append(Constraint(Term(vertex_vars[u][c]), rel, Term(e, -1)))
-            constraints.append(Constraint(Term(vertex_vars[w][c]), rel, Term(f, -1)))
-            constraints.append(Constraint(Term(f, 1), rel, Term(e, 1 if strict else 0)))
+            constraints.append(new(Constraint, (new(Term, (vertex_vars[u][c], 0)), rel, new(Term, (e, -1)))))
+            constraints.append(new(Constraint, (new(Term, (vertex_vars[w][c], 0)), rel, new(Term, (f, -1)))))
+            constraints.append(new(Constraint, (new(Term, (f, 1)), rel, new(Term, (e, 1 if strict else 0)))))
     system = ConstraintSystem(modulus, symbols, tuple(constraints))
     meta = EncodingMeta(variant, modulus, tuple(vertex_vars), edge_vars)
     return system, meta

@@ -17,8 +17,9 @@ from mdlsat.core import (
     parse_system,
     satisfies,
 )
-from mdlsat.mdl import BudgetExceededError, _static_lemmas, _wrap_encoding, brute_force_sat, small_model_bound, solve
+from mdlsat.mdl import BudgetExceededError, _wrap_theory, brute_force_sat, small_model_bound, solve
 from mdlsat.reductions import Graph, Variant, encode_3col
+from reference_encoding import _static_lemmas, _wrap_encoding, guarded_lists
 
 
 def _intro(n=16):
@@ -90,6 +91,11 @@ def test_small_model_bound_size_invariant(p, m, n):
 # --- wrap encoding ----------------------------------------------------------
 
 
+def _all_edges(unguarded, guarded) -> list:
+    """Every edge of ``_wrap_theory``'s output once: an edge with two guard codes is filed twice."""
+    return unguarded + list({id(edge): edge for edges in guarded for edge in edges}.values())
+
+
 @given(
     st.integers(min_value=0, max_value=10**9),
     st.integers(min_value=1, max_value=3),
@@ -101,7 +107,8 @@ def test_small_model_bound_size_invariant(p, m, n):
 def test_wrap_encoding_edges_hold_exactly_at_models_with_their_wraps(seed, p, cons, m, n):
     # x ranges one past each end of the residues, so the range edges are tested too
     system = parse_system(gen_random(p, cons, m, n, seed))
-    literals, edges = _wrap_encoding(system)
+    literals, unguarded, guarded, _ = _wrap_theory(system)
+    edges = _all_edges(unguarded, guarded)
     for w in itertools.product((0, 1), repeat=len(literals)):
         true = {2 * i + wi for i, wi in enumerate(w)}
         on = [(a, b, k) for a, b, k, guard in edges if true.issuperset(guard)]
@@ -127,8 +134,7 @@ def test_static_lemmas_hold_at_every_model():
         rng = random.Random(seed)
         n = rng.randint(2, 8)
         system = parse_system(gen_random(rng.randint(1, 3), rng.randint(1, 6), rng.randint(0, 8), n, seed))
-        literals, edges = _wrap_encoding(system)
-        lemmas = _static_lemmas(literals, edges, n, system.num_vars)
+        literals, _, _, lemmas = _wrap_theory(system)
         units += sum(len(clause) == 1 for clause in lemmas)
         for x in itertools.product(range(n), repeat=system.num_vars):
             if satisfies(system, dict(enumerate(x))):
@@ -156,13 +162,57 @@ def test_static_lemmas_stay_small_on_many_literals(seed):
     # about 40 literals per variable, so a pass that tried every pair of
     # bounds of an edge would be quadratic in them
     system = parse_system(_planted_many_literals(seed))
-    literals, edges = _wrap_encoding(system)
     with time_limit(2.0):
-        lemmas = _static_lemmas(literals, edges, system.modulus.n, system.num_vars)
+        literals, unguarded, guarded, lemmas = _wrap_theory(system)
         out = solve(system)
     assert len(literals) > 1000
-    assert out.stats.lemmas == len(lemmas) <= 3 * len(edges) + len(literals)
+    assert out.stats.lemmas == len(lemmas) <= 3 * len(_all_edges(unguarded, guarded)) + len(literals)
     assert out.sat and satisfies(system, out.model)
+
+
+def _two_pass(system):
+    """The literals, unguarded edges, guarded lists and lemmas of the old two-pass encoding."""
+    literals, edges = _wrap_encoding(system)
+    lemmas = _static_lemmas(literals, edges, system.modulus.n, system.num_vars)
+    return literals, [edge for edge in edges if not edge[3]], guarded_lists(literals, edges), lemmas
+
+
+def _wheel(rim: int) -> Graph:
+    return Graph.from_edges(rim + 1, [(v, (v + 1) % rim) for v in range(rim)] + [(v, rim) for v in range(rim)])
+
+
+def test_wrap_theory_matches_the_two_pass_encoding():
+    # same items in the same order, so the search reads the same clauses and
+    # edges; gen_random with few variables writes x + k <= x + l and
+    # x <= r lines, whose literals bound both ends or meet the zero vertex
+    same_variable = constants = 0
+    for seed in range(1500):
+        rng = random.Random(seed)
+        n = rng.choice([2, 3, 5, 8, 2**32])
+        system = parse_system(gen_random(rng.randint(1, 4), rng.randint(1, 8), rng.randint(0, 9), n, seed))
+        assert _wrap_theory(system) == _two_pass(system), seed
+        for c in system.constraints:
+            if isinstance(c.rhs, Term):
+                same_variable += c.lhs.var == c.rhs.var and c.lhs.offset % n != c.rhs.offset % n
+            else:
+                constants += 1
+    assert same_variable > 300 and constants > 1000
+    graphs = [Graph.complete(4), _wheel(5), Graph.cycle(5), petersen()]
+    for graph, variant, n in itertools.product(graphs, Variant, (16, 2**32)):
+        system, _ = encode_3col(graph, Modulus(n), variant)
+        assert _wrap_theory(system) == _two_pass(system), (graph, variant, n)
+    for seed in range(3):
+        system = parse_system(_planted_many_literals(seed))
+        assert _wrap_theory(system) == _two_pass(system), seed
+
+
+@pytest.mark.parametrize("text", ["mod 8\nx < 0\n", "mod 2\nx > 1\n"])
+def test_solve_refuses_a_negative_cycle_of_unguarded_edges_before_the_lemmas(text):
+    # the lemma pass gives the empty clause here, but ``solve`` adds the
+    # unguarded edges first and stops at their cycle, with no lemma counted
+    system = parse_system(text)
+    assert () in _wrap_theory(system)[3]
+    assert solve(system) == (False, None, ("cdcl", 0, 1, 0))
 
 
 # --- complete solver --------------------------------------------------------

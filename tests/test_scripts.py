@@ -94,6 +94,15 @@ def test_compare_stops_where_the_searches_differ(tmp_path):
     assert "K4 nonstrict: the trees differ" in done.stderr
 
 
+def test_compare_stops_where_the_lemmas_differ(tmp_path):
+    # a lemma pass that keeps "not G, or not a >= t" when that bound is G's
+    # own literal adds clauses that are always true: the search makes the
+    # same decisions and conflicts, and only the lemma count (item 3) differs
+    done = _compare(_mutant(tmp_path, "mdl.py", "if j < len(ta) and ca[j] not in guard:", "if j < len(ta):"))
+    assert done.returncode == 1
+    assert "K4 nonstrict: the trees differ in the verdict, decisions, conflicts and lemmas at item 3" in done.stderr
+
+
 def test_compare_stops_where_the_relaxations_differ(tmp_path):
     # a tree that reads x < y as x - y <= 0 relaxes the first file differently;
     # the report names the first differing edge, not the whole edge list
