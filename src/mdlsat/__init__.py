@@ -17,9 +17,7 @@ from .core import (
     SymbolTable,
     Term,
     UndefinedVariableError,
-    eval_constraint,
     eval_system,
-    eval_term,
     parse_system,
     render_system,
     satisfies,

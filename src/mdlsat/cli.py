@@ -169,7 +169,7 @@ def _relaxation_report(system: ConstraintSystem) -> list:
     lines = ["semantics = integer-relaxation", f"verdict = {'SAT' if outcome.sat else 'UNSAT'}"]
     if outcome.sat:
         model = dict(outcome.model)
-        if relaxation.zero_var is not None and relaxation.zero_var in model:
+        if relaxation.zero_var is not None:
             shift = model[relaxation.zero_var]
             model = {v: value - shift for v, value in model.items()}
         if not idl.check_idl_model(relaxation.constraints, model):

@@ -131,10 +131,6 @@ class Relation(Enum):
     # too: Enum's own hash runs Python code on every dict lookup
     __hash__ = object.__hash__
 
-    def holds(self, a: int, b: int) -> bool:
-        """Does ``a REL b`` hold for residues a, b under the residue order?"""
-        return _RESIDUE_ORDER[self](a, b)
-
 
 _RESIDUE_ORDER = {
     Relation.LE: operator.le,
@@ -203,28 +199,22 @@ class ConstraintSystem:
         return (self.modulus, self.symbols, self.constraints) == (other.modulus, other.symbols, other.constraints)
 
 
-def eval_term(term: Term, assignment: Assignment, modulus: Modulus) -> int:
-    try:
-        value = assignment[term.var]
-    except KeyError:
-        raise UndefinedVariableError(f"no value for variable id {term.var}") from None
-    return (value + term.offset) % modulus.n
-
-
-def eval_constraint(constraint: Constraint, assignment: Assignment, modulus: Modulus) -> bool:
-    lhs = eval_term(constraint.lhs, assignment, modulus)
-    if isinstance(constraint.rhs, Term):
-        rhs = eval_term(constraint.rhs, assignment, modulus)
-    else:
-        rhs = constraint.rhs % modulus.n
-    return constraint.rel.holds(lhs, rhs)
-
-
 def eval_system(system: ConstraintSystem, assignment: Assignment) -> int | None:
-    """Index of the first violated constraint, or None; any assignment indexable by VarId will do."""
-    for idx, c in enumerate(system.constraints):
-        if not eval_constraint(c, assignment, system.modulus):
-            return idx
+    """Index of the first violated constraint, or None; any assignment indexable by VarId will do.
+
+    Both sides are reduced mod N and compared in the residue order; a missing
+    variable raises ``UndefinedVariableError`` naming its id.
+    """
+    n = system.modulus.n
+    try:
+        for idx, ((x, k), rel, rhs) in enumerate(system.constraints):
+            if isinstance(rhs, Term):
+                y, l = rhs
+                rhs = assignment[y] + l
+            if not _RESIDUE_ORDER[rel]((assignment[x] + k) % n, rhs % n):
+                return idx
+    except KeyError as missing:
+        raise UndefinedVariableError(f"no value for variable id {missing.args[0]}") from None
     return None
 
 

@@ -41,32 +41,14 @@ from typing import NamedTuple
 from .core import ConstraintSystem, Relation, Term, VarId
 
 
-class IdlConstraint:
-    """x - y <= k over the integers.
+class IdlConstraint(NamedTuple):
+    """x - y <= k over the integers; ``origin`` is the index of the source
+    constraint this was translated from, if any."""
 
-    ``origin`` is the index of the source constraint this was translated
-    from, if any.  Equality, hash and repr leave it out, which a NamedTuple
-    cannot, so this is a slotted class; hashed by value, so never mutated.
-    """
-
-    __slots__ = ("x", "y", "k", "origin")
-
-    def __init__(self, x: VarId, y: VarId, k: int, origin: int | None = None):
-        self.x = x
-        self.y = y
-        self.k = k
-        self.origin = origin
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, IdlConstraint):
-            return NotImplemented
-        return (self.x, self.y, self.k) == (other.x, other.y, other.k)
-
-    def __hash__(self) -> int:
-        return hash((self.x, self.y, self.k))
-
-    def __repr__(self) -> str:
-        return f"IdlConstraint(x={self.x}, y={self.y}, k={self.k})"
+    x: VarId
+    y: VarId
+    k: int
+    origin: int | None = None
 
 
 class Relaxation(NamedTuple):
@@ -105,14 +87,15 @@ def relax_to_idl(system: ConstraintSystem) -> Relaxation:
     zero: VarId | None = None
     if any(not isinstance(c.rhs, Term) for c in system.constraints):
         zero = system.num_vars
+    new = tuple.__new__  # skips the NamedTuple's Python-level __new__, as ``parse_system`` does
     out: list[IdlConstraint] = []
     for idx, ((x, k), rel, rhs) in enumerate(system.constraints):
         y, l = rhs if isinstance(rhs, Term) else (zero, rhs)
         for swap, t in ORIENTED[rel]:
             if swap:
-                out.append(IdlConstraint(y, x, k - l - t, idx))
+                out.append(new(IdlConstraint, (y, x, k - l - t, idx)))
             else:
-                out.append(IdlConstraint(x, y, l - k - t, idx))
+                out.append(new(IdlConstraint, (x, y, l - k - t, idx)))
     return Relaxation(tuple(out), zero)
 
 
@@ -132,8 +115,9 @@ class DiffEngine:
     integer such that pi[x] - pi[y] <= k holds for every live edge.
     Vertices start at 0, a repair moves them down or up, and ``backtrack``
     leaves pi where it is: pi is feasible, and nothing more.  A caller may
-    place a vertex by setting its pi before the vertex's first edge, since a
-    vertex without edges can take any value.  The greatest
+    set pi only for a vertex that has no edges yet, which can take any
+    value; that places the vertex.  The engine does not check this, and a
+    repair over an infeasible potential may never return.  The greatest
     solutions are read off with ``greatest``.  Vertices are hashable, and
     the ones a search meets must also order against each other, as ints do.
     """

@@ -244,10 +244,11 @@ def solve(system: ConstraintSystem) -> SolveOutcome:
     UNSAT with 0 decisions, 1 conflict and 0 lemmas.  Then the static
     lemmas that ``_wrap_theory`` derives in the same pass as the edges (the
     short cycles through the zero vertex, and the chain of each variable's
-    thresholds) are stored like learned ones, and those of one literal are
-    assigned at level 0; ``stats.lemmas`` counts them.  On the ladder these
-    are nearly all the clauses the search would otherwise learn by
-    conflict, again after every backjump.
+    thresholds) are stored like learned ones, and one of a single literal
+    assigns it at level 0 if it is free, so two that contradict meet as a
+    conflict there; ``stats.lemmas`` counts them.  On the ladder these are
+    nearly all the clauses the search would otherwise learn by conflict,
+    again after every backjump.
 
     The search backtracks chronologically (Nadel & Ryvchin, "Chronological
     backtracking", SAT 2018, at threshold 0), so the trail need not be
@@ -387,13 +388,10 @@ def solve(system: ConstraintSystem) -> SolveOutcome:
             lits = [lit for lit in reason[uip >> 1] if lit != uip]
 
     for clause in lemmas:
-        if len(clause) > 1:
-            for lit in clause:
-                occurs[lit].append(clause)
-        elif value[clause[0] >> 1] is None:
+        for lit in clause:
+            occurs[lit].append(clause)
+        if len(clause) == 1 and value[clause[0] >> 1] is None:
             assign(clause[0], 0, clause)
-        elif value[clause[0] >> 1] != clause[0] & 1:  # two units that contradict
-            return SolveOutcome(False, None, SearchStats("cdcl", 0, 1, len(lemmas)))
 
     while True:
         conflict = None

@@ -18,9 +18,7 @@ from mdlsat.core import (
     SymbolTable,
     Term,
     UndefinedVariableError,
-    eval_constraint,
     eval_system,
-    eval_term,
     parse_system,
     render_system,
 )
@@ -45,14 +43,19 @@ def _holds(text, **values):
     """Does the single constraint of ``text`` hold under the named values?"""
     system = parse_system(text)
     assignment = {system.symbols.id_of(name): value for name, value in values.items()}
-    return eval_constraint(system.constraints[0], assignment, system.modulus)
+    return eval_system(system, assignment) is None
+
+
+def _holds_one(constraint, assignment, n):
+    """Does ``constraint``, over x = id 0 and y = id 1, hold mod n?"""
+    system = ConstraintSystem(Modulus(n), SymbolTable(["x", "y"]), (constraint,))
+    return eval_system(system, assignment) is None
 
 
 def test_reduce_mod_examples():
-    modulus = Modulus(10)
-    assert eval_term(Term(0, 3), {0: 0}, modulus) == 3
-    assert eval_term(Term(0, -1), {0: 0}, modulus) == 9
-    assert eval_term(Term(0, 10), {0: 0}, modulus) == 0
+    assert _holds_one(Constraint(Term(0, 3), Relation.EQ, 3), {0: 0}, 10)
+    assert _holds_one(Constraint(Term(0, -1), Relation.EQ, 9), {0: 0}, 10)
+    assert _holds_one(Constraint(Term(0, 10), Relation.EQ, 0), {0: 0}, 10)
     assert _holds("mod 10\nx = -1\n", x=9)
 
 
@@ -73,10 +76,12 @@ def test_subtraction_and_comparison_do_not_commute():
 
 @given(st.integers(), st.integers(min_value=2, max_value=10**6))
 def test_reduce_mod_is_the_canonical_residue(i, n):
-    r = eval_term(Term(0, i), {0: 0}, Modulus(n))
-    assert 0 <= r < n
-    assert (i - r) % n == 0
-    assert eval_constraint(Constraint(Term(0), Relation.EQ, i), {0: r}, Modulus(n))
+    # x + i at x = 0 is the residue r of i: equal to r, and within [0, n-1]
+    r = i % n
+    assert _holds_one(Constraint(Term(0, i), Relation.EQ, Term(1)), {0: 0, 1: r}, n)
+    assert _holds_one(Constraint(Term(0, i), Relation.LE, Term(1)), {0: 0, 1: n - 1}, n)
+    assert _holds_one(Constraint(Term(0, i), Relation.GE, Term(1)), {0: 0, 1: 0}, n)
+    assert _holds_one(Constraint(Term(0), Relation.EQ, i), {0: r}, n)
 
 
 _RESIDUE_ORDER = {
@@ -90,40 +95,36 @@ _RESIDUE_ORDER = {
 
 @given(st.integers(), st.integers(), st.integers(min_value=2, max_value=10**4))
 def test_cmp_mod_matches_reduced_comparison(i, j, n):
-    modulus = Modulus(n)
     a, b = i % n, j % n
     for rel, compare in _RESIDUE_ORDER.items():
         expected = compare(a, b)
-        assert eval_constraint(Constraint(Term(0, i), rel, Term(1, j)), {0: 0, 1: 0}, modulus) == expected
-        assert eval_constraint(Constraint(Term(0, i), rel, j), {0: 0}, modulus) == expected
+        assert _holds_one(Constraint(Term(0, i), rel, Term(1, j)), {0: 0, 1: 0}, n) == expected
+        assert _holds_one(Constraint(Term(0, i), rel, j), {0: 0}, n) == expected
 
 
 def test_eval_term_examples():
-    modulus = Modulus(10)
-    assert eval_term(Term(0, 1), {0: 9}, modulus) == 0
-    assert eval_term(Term(0, 0), {0: 5}, modulus) == 5
-    assert eval_term(Term(0, -1), {0: 0}, modulus) == 9
-    with pytest.raises(UndefinedVariableError):
-        eval_term(Term(1, 0), {0: 5}, modulus)
+    assert _holds_one(Constraint(Term(0, 1), Relation.EQ, 0), {0: 9}, 10)
+    assert _holds_one(Constraint(Term(0, 0), Relation.EQ, 5), {0: 5}, 10)
+    assert _holds_one(Constraint(Term(0, -1), Relation.EQ, 9), {0: 0}, 10)
+    with pytest.raises(UndefinedVariableError, match="variable id 1"):
+        _holds_one(Constraint(Term(0), Relation.LE, Term(1, 0)), {0: 5}, 10)
 
 
 def test_eval_constraint_examples():
-    modulus = Modulus(10)
     c = Constraint(Term(0), Relation.LE, Term(1, 5))
-    assert not eval_constraint(c, {0: 9, 1: 5}, modulus)
+    assert not _holds_one(c, {0: 9, 1: 5}, 10)
     c = Constraint(Term(0), Relation.LE, Term(1, -1))
-    assert eval_constraint(c, {0: 5, 1: 0}, modulus)
+    assert _holds_one(c, {0: 5, 1: 0}, 10)
     c = Constraint(Term(0), Relation.EQ, Term(0, 0))
-    assert eval_constraint(c, {0: 7}, Modulus(12))
+    assert _holds_one(c, {0: 7}, 12)
 
 
 def test_eval_constraint_normalizes_ge_gt_by_comparison():
-    modulus = Modulus(10)
     ge = Constraint(Term(0), Relation.GE, Term(1))
     gt = Constraint(Term(0), Relation.GT, Term(1))
-    assert eval_constraint(ge, {0: 5, 1: 5}, modulus)
-    assert not eval_constraint(gt, {0: 5, 1: 5}, modulus)
-    assert eval_constraint(gt, {0: 6, 1: 5}, modulus)
+    assert _holds_one(ge, {0: 5, 1: 5}, 10)
+    assert not _holds_one(gt, {0: 5, 1: 5}, 10)
+    assert _holds_one(gt, {0: 6, 1: 5}, 10)
 
 
 def _intro_system(n=16):
@@ -136,6 +137,9 @@ def test_eval_system_examples():
     system = _intro_system()
     assert eval_system(system, {0: 15}) is None
     assert eval_system(system, {0: 3}) == 1
+    # brute_force_sat passes its candidates as tuples
+    assert eval_system(system, (15,)) is None
+    assert eval_system(system, (3,)) == 1
 
 
 @given(st.integers(min_value=0, max_value=15), st.integers(), st.integers(min_value=2, max_value=60))
@@ -143,7 +147,7 @@ def test_eval_invariant_under_offset_shifts_by_modulus(x, t, n):
     base = Constraint(Term(0, 3), Relation.LE, Term(1, -2))
     shifted = Constraint(Term(0, 3 + t * n), Relation.LE, Term(1, -2 - t * n))
     a = {0: x % n, 1: (x * 7 + 1) % n}
-    assert eval_constraint(base, a, Modulus(n)) == eval_constraint(shifted, a, Modulus(n))
+    assert _holds_one(base, a, n) == _holds_one(shifted, a, n)
 
 
 @given(st.integers(min_value=0, max_value=15), st.integers(), st.integers(min_value=2, max_value=60))
@@ -151,7 +155,7 @@ def test_eval_invariant_under_constant_shifts_by_modulus(x, t, n):
     base = Constraint(Term(0, 1), Relation.GT, -2)
     shifted = Constraint(Term(0, 1), Relation.GT, -2 + t * n)
     a = {0: x % n}
-    assert eval_constraint(base, a, Modulus(n)) == eval_constraint(shifted, a, Modulus(n))
+    assert _holds_one(base, a, n) == _holds_one(shifted, a, n)
 
 
 # --- text format ------------------------------------------------------------
@@ -346,7 +350,7 @@ def test_names_case_sensitive_first_occurrence_order():
 def test_large_offsets_and_constants_accepted_silently():
     system = parse_system("mod 10\nx + 1000000000000 <= y\nx <= 99\n")
     assert system.max_abs_constant == 1000000000000
-    assert eval_constraint(system.constraints[0], {0: 0, 1: 0}, system.modulus)
+    assert eval_system(system, {0: 0, 1: 0}) is None
 
 
 def test_render_examples():

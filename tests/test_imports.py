@@ -1,5 +1,6 @@
 """Every name a module of ``src/mdlsat`` or a script of ``scripts/`` imports
-is used in that module or script, and importing the CLI stays cheap.
+is used in that module or script, every function the benchmark's tracer
+wraps exists, and importing the CLI stays cheap.
 
 No linter ships with the project, so this walks each file's syntax tree
 with the standard ``ast`` module.  ``__init__.py`` imports to re-export, and
@@ -7,6 +8,7 @@ with the standard ``ast`` module.  ``__init__.py`` imports to re-export, and
 """
 
 import ast
+import importlib
 import subprocess
 import sys
 from pathlib import Path
@@ -39,6 +41,30 @@ def test_no_unused_imports(path):
 def test_the_check_sees_an_unused_name():
     source = "from typing import NamedTuple, Optional\nimport os.path\nx: Optional[int] = None\n"
     assert unused_imports(source) == [(1, "NamedTuple"), (2, "os")]
+
+
+#: functions deleted from ``src/`` that ``bench/spans.py`` still wraps; the
+#: tracer reports them as absent, and their per-layer metrics read 0
+GONE = {("reductions", "restore_encoding"), ("mdl", "normalize_solution"), ("idl", "build_graph")}
+
+
+def wrapped_functions(source: str) -> list:
+    """The (module, function) pairs of the ``WRAPPED`` table in ``bench/spans.py``."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["WRAPPED"]:
+            return [tuple(ast.literal_eval(row)[:2]) for row in node.value.elts]
+    raise AssertionError("bench/spans.py has no WRAPPED table")
+
+
+def test_every_function_the_tracer_wraps_exists():
+    """A deleted or renamed layer function would silently zero its span's
+    per-layer metric, since the tracer skips what it cannot find."""
+    wrapped = wrapped_functions((ROOT / "bench" / "spans.py").read_text())
+    assert ("cli", "satisfies") in wrapped
+    absent = {
+        (module, name) for module, name in wrapped if not hasattr(importlib.import_module(f"mdlsat.{module}"), name)
+    }
+    assert absent <= GONE
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():

@@ -1,4 +1,5 @@
 import itertools
+import operator
 import random
 
 import pytest
@@ -204,6 +205,17 @@ def test_wrap_theory_matches_the_two_pass_encoding():
     for seed in range(3):
         system = parse_system(_planted_many_literals(seed))
         assert _wrap_theory(system) == _two_pass(system), seed
+
+
+@pytest.mark.parametrize(
+    "text", ["mod 8\nx + 1 <= 0\nx + 1 >= 1\n", "mod 8\nx + 1 >= 1\nx + 1 <= 0\n"], ids=["wrap-first", "no-wrap-first"]
+)
+def test_solve_meets_contradicting_unit_lemmas_as_a_level_zero_conflict(text):
+    # the lemmas are the units "x + 1 wraps" and "x + 1 does not wrap", in
+    # either order; propagating the first meets the second as a conflict
+    system = parse_system(text)
+    assert sorted(_wrap_theory(system)[3]) == [(0,), (1,)]
+    assert solve(system).stats == ("cdcl", 0, 1, 2)
 
 
 @pytest.mark.parametrize("text", ["mod 8\nx < 0\n", "mod 2\nx > 1\n"])
@@ -419,6 +431,9 @@ def test_solve_matches_oracle_when_terms_wrap(seed):
         assert satisfies(system, out.model)
 
 
+_COMPARE = {Relation.LE: operator.le, Relation.LT: operator.lt, Relation.GE: operator.ge, Relation.GT: operator.gt}
+
+
 def _planted_relations(seed: int) -> ConstraintSystem:
     """2-4 variables mod 5-16 and 3-6 relations x + k REL y + l per variable.
 
@@ -433,7 +448,7 @@ def _planted_relations(seed: int) -> ConstraintSystem:
     for _ in range(rng.randint(3 * p, 6 * p)):
         x, y = rng.sample(range(p), 2)
         lhs, rhs = Term(x, rng.randrange(n)), Term(y, rng.randrange(n))
-        held = [r for r in relations if r.holds((value[x] + lhs.offset) % n, (value[y] + rhs.offset) % n)]
+        held = [r for r in relations if _COMPARE[r]((value[x] + lhs.offset) % n, (value[y] + rhs.offset) % n)]
         constraints.append(Constraint(lhs, rng.choice(relations if rng.random() < 0.1 else held), rhs))
     return ConstraintSystem(Modulus(n), SymbolTable(f"x{i}" for i in range(p)), constraints)
 
