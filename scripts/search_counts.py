@@ -3,25 +3,31 @@
 
 Each rung is a graph encoded by ``encode_3col`` at N = 2^32 in one variant.
 For each rung the script prints the verdict, the decisions, the conflicts,
-the static lemmas derived before the search and the CPU seconds of the
-``solve`` call.  The counts are deterministic, so
-a change to the search shows up as a change in them; the CPU time is as
-noisy as the host.
+the static lemmas derived before the search, the calls ``solve`` made to
+``DiffEngine.add`` and the negative cycles they returned, and the CPU
+seconds of the ``solve`` call.  The counts are deterministic, so a change
+to the search shows up as a change in them; the CPU time is as noisy as
+the host.  The engine counts come from a second ``solve`` with
+``DiffEngine.add`` wrapped, so the timed call runs the library as it is.
 
 The default rungs are the ones the tests pin: K4 in both variants, the
 wheel W5 with its hub last, the cycle C5 and the Petersen graph in both
-variants.  ``--random`` adds random G(n, m) graphs with m = round(n*d/2),
-each drawn as ``rng.sample(range(n), 2)`` from a fresh ``random.Random(0)``
-until m distinct edges exist.  They take seconds each.
+variants.  ``--random`` adds random G(n, m) graphs with n <= 60 and
+m = round(n*d/2), each drawn as ``rng.sample(range(n), 2)`` from a fresh
+``random.Random(0)`` until m distinct edges exist; they take tenths of a
+second each.  ``--large`` adds such graphs with n = 100-200, which take
+seconds each.
 """
 
 import argparse
+import contextlib
 import random
 import sys
 import time
 
 from coloring_pipeline import NAMED
 from mdlsat.core import Modulus, satisfies
+from mdlsat.idl import DiffEngine
 from mdlsat.mdl import solve
 from mdlsat.reductions import Graph, Variant, encode_3col
 
@@ -61,14 +67,45 @@ RANDOM = [
     ("n=60 d4.6", lambda: random_graph(60, 4.6), Variant.STRICT),
 ]
 
+LARGE = [
+    ("n=100 d4.0", lambda: random_graph(100, 4.0), Variant.NONSTRICT),
+    ("n=100 d4.0", lambda: random_graph(100, 4.0), Variant.STRICT),
+    ("n=150 d4.0", lambda: random_graph(150, 4.0), Variant.NONSTRICT),
+    ("n=150 d4.6", lambda: random_graph(150, 4.6), Variant.NONSTRICT),
+    ("n=200 d4.0", lambda: random_graph(200, 4.0), Variant.STRICT),
+    ("n=200 d4.6", lambda: random_graph(200, 4.6), Variant.NONSTRICT),
+    ("n=200 d4.6", lambda: random_graph(200, 4.6), Variant.STRICT),
+]
+
+
+@contextlib.contextmanager
+def engine_counts():
+    """Count the calls of ``DiffEngine.add`` and the negative cycles they return."""
+    counts = {"adds": 0, "cycles": 0}
+    add = DiffEngine.add
+
+    def counted(engine, *args):
+        cycle = add(engine, *args)
+        counts["adds"] += 1
+        counts["cycles"] += cycle is not None
+        return cycle
+
+    DiffEngine.add = counted
+    try:
+        yield counts
+    finally:
+        DiffEngine.add = add
+
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--random", action="store_true", help="add the random G(n, m) rungs")
+    parser.add_argument("--random", action="store_true", help="add the random G(n, m) rungs with n <= 60")
+    parser.add_argument("--large", action="store_true", help="add the random G(n, m) rungs with n = 100-200")
     args = parser.parse_args()
 
-    print(f"{'graph':<12} {'variant':<10} {'verdict':<7} {'decisions':>9} {'conflicts':>9} {'lemmas':>7} {'cpu_s':>7}")
-    for name, build, variant in LADDER + (RANDOM if args.random else []):
+    print(f"{'graph':<12} {'variant':<10} {'verdict':<7} {'decisions':>9} {'conflicts':>9} {'lemmas':>7} "
+          f"{'adds':>8} {'cycles':>6} {'cpu_s':>7}")
+    for name, build, variant in LADDER + (RANDOM if args.random else []) + (LARGE if args.large else []):
         system, _ = encode_3col(build(), Modulus(N), variant)
         started = time.process_time()
         outcome = solve(system)
@@ -76,9 +113,12 @@ def main():
         if outcome.sat and not satisfies(system, outcome.model):
             print(f"{name} {variant.value}: the model fails re-evaluation", file=sys.stderr)
             return 2
+        with engine_counts() as counts:
+            solve(system)
         verdict = "SAT" if outcome.sat else "UNSAT"
         print(f"{name:<12} {variant.value:<10} {verdict:<7} {outcome.stats.nodes:>9} "
-              f"{outcome.stats.conflicts:>9} {outcome.stats.lemmas:>7} {cpu:>7.2f}")
+              f"{outcome.stats.conflicts:>9} {outcome.stats.lemmas:>7} {counts['adds']:>8} {counts['cycles']:>6} "
+              f"{cpu:>7.2f}")
     return 0
 
 

@@ -17,7 +17,9 @@ Entry points:
 * ``brute_force_sat`` -- plain enumeration of all N^p assignments, used as an
   independent oracle at desk scale.
 * ``solve`` -- CDCL over wrap literals on ``idl.DiffEngine``, seeded with
-  the static lemmas that ``_wrap_theory`` derives as it encodes.
+  the static lemmas that ``_wrap_theory`` derives as it encodes; the engine
+  runs at each fixpoint of unit propagation, and each negative cycle it
+  returns is kept as a clause.
 * ``small_model_bound`` -- the candidate set D = [0,B] u [N-1-B, N-1], in
   which every model ``solve`` returns lies.
 
@@ -238,7 +240,18 @@ def solve(system: ConstraintSystem) -> SolveOutcome:
     zero vertex, x >= N-k for a true literal and x <= N-k-1 for a false one,
     and each constraint's edges once all of its literals are set.  A
     negative cycle names the literals behind its edges; their negation is a
-    conflict clause.
+    conflict clause, and it is kept like a learned clause (T-Learn in
+    Nieuwenhuis, Oliveras & Tinelli, "Solving SAT and SAT Modulo Theories",
+    J. ACM 2006), so the engine never meets the same cycle twice.
+
+    Propagation runs Boolean first, from two heads on the trail: unit
+    propagation takes each new literal until it reaches a fixpoint, and only
+    then does the engine take the edges of the literals its own head has
+    not seen yet.  Adding edges assigns nothing, so the engine drains its
+    head in one stretch before the next decision.  Unit propagation thus
+    meets a stored cycle clause as a conflict before the engine could close
+    the cycle again, and the literals that a Boolean conflict undoes before
+    the fixpoint never have their edges added.
 
     The unguarded edges go in first, and a negative cycle among them is
     UNSAT with 0 decisions, 1 conflict and 0 lemmas.  Then the static
@@ -258,11 +271,14 @@ def solve(system: ConstraintSystem) -> SolveOutcome:
     means UNSAT.  Otherwise the clause learned from it resolves away all but
     one literal of level c (first unique implication point), the search
     backtracks to level c-1 only, and the remaining literal is asserted at
-    the highest level b among the clause's others.  Backtracking to a level
+    the highest level b among the clause's others; when that clause is the
+    conflict clause itself, it is not stored again.  Backtracking to a level
     keeps the trail's literals of that level or below and propagates them
-    again, so their edges re-enter the engine.  A conflict thus undoes the
-    levels from c up, not every level above b, and the decisions between b
-    and c are not made again.
+    again from the cut, so their edges re-enter the engine.  A kept literal
+    takes a fresh trail position, since an edge goes in when the last of
+    its literals on the trail does.  A conflict thus undoes the levels from
+    c up, not every level above b, and the decisions between b and c are
+    not made again.
 
     Every clause comes from a negative cycle and is short, two or three
     literals on the ladder, so watched literals would save nothing: each is
@@ -311,7 +327,7 @@ def solve(system: ConstraintSystem) -> SolveOutcome:
     edge_lim: list = []  # engine mark at each decision
     occurs: list = [[] for _ in range(2 * len(literals))]  # literal code -> clauses holding it
     nodes = conflicts = 0
-    qhead = 0
+    bhead = thead = 0  # the next trail entries for unit_propagate and for theory
     next_free = 0
 
     def assign(lit: int, at: int, why) -> None:
@@ -322,8 +338,8 @@ def solve(system: ConstraintSystem) -> SolveOutcome:
         position[i] = len(trail)
         trail.append(lit)
 
-    def theory(lit: int) -> list | None:
-        """Add the edges ``lit`` completes; a conflict comes back as a false clause."""
+    def theory(lit: int) -> tuple | None:
+        """Add the edges ``lit`` completes; a negative cycle comes back as a false clause, already stored."""
         here = position[lit >> 1]
         for a, b, k, guard in guarded[lit]:
             for g in guard:
@@ -333,8 +349,11 @@ def solve(system: ConstraintSystem) -> SolveOutcome:
             else:
                 cycle = engine.add(a, b, k, guard)
                 if cycle is not None:
-                    # the learned clause: not all of the guards of the cycle's edges
-                    return [g ^ 1 for g in dict.fromkeys(g for guard in cycle for g in guard)]
+                    # not all of the guards of the cycle's edges, kept like a learned clause
+                    clause = tuple(g ^ 1 for g in dict.fromkeys(g for guard in cycle for g in guard))
+                    for c in clause:
+                        occurs[c].append(clause)
+                    return clause
         return None
 
     def unit_propagate(lit: int) -> tuple | None:
@@ -395,10 +414,15 @@ def solve(system: ConstraintSystem) -> SolveOutcome:
 
     while True:
         conflict = None
-        while conflict is None and qhead < len(trail):
-            lit = trail[qhead]
-            qhead += 1
-            conflict = theory(lit) or unit_propagate(lit)
+        while conflict is None and bhead < len(trail):
+            lit = trail[bhead]
+            bhead += 1
+            conflict = unit_propagate(lit)
+        # at the Boolean fixpoint; ``theory`` assigns nothing, so it drains its head
+        while conflict is None and thead < len(trail):
+            lit = trail[thead]
+            thead += 1
+            conflict = theory(lit)
         if conflict is not None:
             conflicts += 1
             top = max(level[lit >> 1] for lit in conflict)
@@ -422,9 +446,10 @@ def solve(system: ConstraintSystem) -> SolveOutcome:
             for lit in stay:
                 position[lit >> 1] = len(trail)
                 trail.append(lit)
-            qhead = cut
-            for lit in learnt:
-                occurs[lit].append(learnt)
+            bhead = thead = cut
+            if set(learnt) != set(conflict):  # else the conflict is the clause, stored already
+                for lit in learnt:
+                    occurs[lit].append(learnt)
             assign(learnt[0], back, learnt)
             continue
         while next_free < len(literals) and value[next_free] is not None:

@@ -18,6 +18,7 @@ from mdlsat.core import (
     parse_system,
     satisfies,
 )
+from mdlsat.idl import DiffEngine
 from mdlsat.mdl import BudgetExceededError, _wrap_theory, brute_force_sat, small_model_bound, solve
 from mdlsat.reductions import Graph, Variant, encode_3col
 from reference_encoding import _static_lemmas, _wrap_encoding, guarded_lists
@@ -348,18 +349,120 @@ def test_ladder_search_counts_at_two_to_the_32(graph, variant, sat, nodes, confl
 
 
 @pytest.mark.parametrize(
-    "args, sat, nodes, conflicts",
-    [((8, 8, 100, 64, 2198), True, 6, 4), ((3, 6, 100, 64, 66), False, 5, 3), ((8, 8, 20, 16, 186), False, 5, 5)],
-    ids=["sat-p8-seed2198", "unsat-p3-seed66", "unsat-p8-seed186"],
+    "build, sat, nodes, conflicts",
+    [
+        (lambda: parse_system(gen_random(8, 8, 100, 64, 2198)), True, 6, 4),
+        (lambda: parse_system(gen_random(3, 6, 100, 64, 66)), False, 5, 3),
+        (lambda: parse_system(gen_random(8, 8, 20, 16, 186)), False, 5, 5),
+        (lambda: _planted_relations(17852), True, 6, 2),
+        (lambda: _planted_relations(30381), False, 5, 6),
+    ],
+    ids=["sat-p8-seed2198", "unsat-p3-seed66", "unsat-p8-seed186", "sat-planted-seed17852", "unsat-planted-seed30381"],
 )
-def test_kept_literals_take_fresh_trail_positions(args, sat, nodes, conflicts):
-    # a literal kept across a backtrack is re-appended to the trail; without
-    # a new position, ``theory`` compares it against stale positions and
-    # skips edges, and on these seeds the search ends on a non-model that
-    # the re-check refuses; such seeds are rare, as the static lemmas
-    # decide most small random systems with little or no search
-    out = solve(parse_system(gen_random(*args)))
+def test_kept_literals_take_fresh_trail_positions(build, sat, nodes, conflicts):
+    # a literal kept across a backtrack is re-appended to the trail; left
+    # with its old position, ``theory`` compares it against the positions of
+    # literals assigned after it and skips edges, and the search ends on a
+    # non-model that the re-check refuses; the gen_random seeds went wrong
+    # so while the engine ran ahead of unit propagation, and the planted
+    # seeds are two of the 7 among 0-59,999 that still do so with propagation
+    # first; ``test_every_switched_on_edge_is_live_at_each_decision``
+    # checks for the skip directly
+    out = solve(build())
     assert (out.sat, out.stats.nodes, out.stats.conflicts) == (sat, nodes, conflicts)
+
+
+def _watched_solve(monkeypatch, system) -> tuple:
+    """``solve(system)`` with ``DiffEngine`` watched.
+
+    Returns the outcome, the guard codes of each negative cycle the engine
+    returned, and each edge that was switched on but missing from the engine
+    at a decision or when the model is read.  A code is true when its own
+    bound edge, ``guarded[code][0]``, is live.  An edge is switched on when
+    all its guard codes are true; the engine never stores a self-loop, so
+    one that is switched on counts as missing when it is negative.
+    """
+    guarded = _wrap_theory(system)[2]
+    cycles, missing = [], []
+    add, mark, greatest = DiffEngine.add, DiffEngine.mark, DiffEngine.greatest
+
+    def check(engine):
+        live = set(engine._trail)
+        true = {code for code, edges in enumerate(guarded) if edges[0] in live}
+        for code in true:
+            for edge in guarded[code]:
+                a, b, k, guard = edge
+                if true.issuperset(guard) and (edge not in live if a != b else k < 0):
+                    missing.append(edge)
+
+    def watched_add(engine, x, y, k, reason=None):
+        cycle = add(engine, x, y, k, reason)
+        if cycle is not None:
+            cycles.append(frozenset(g for guard in cycle for g in guard))
+        return cycle
+
+    def watched_mark(engine):
+        check(engine)
+        return mark(engine)
+
+    def watched_greatest(engine, root=None):
+        check(engine)
+        return greatest(engine, root)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(DiffEngine, "add", watched_add)
+        patch.setattr(DiffEngine, "mark", watched_mark)
+        patch.setattr(DiffEngine, "greatest", watched_greatest)
+        out = solve(system)
+    return out, cycles, missing
+
+
+_LADDER = [
+    (Graph.complete(4), Variant.NONSTRICT),
+    (Graph.complete(4), Variant.STRICT),
+    (_wheel5(), Variant.NONSTRICT),
+    (Graph.cycle(5), Variant.NONSTRICT),
+    (petersen(), Variant.NONSTRICT),
+    (petersen(), Variant.STRICT),
+]
+
+
+def _coloring_corpus():
+    """The ladder at N = 2^32, then ``_random_graph`` seeds 0-19 in both variants."""
+    for graph, variant in _LADDER + [(_random_graph(seed), v) for seed in range(20) for v in Variant]:
+        yield (graph, variant), encode_3col(graph, Modulus(2**32), variant)[0]
+
+
+def test_no_negative_cycle_reaches_the_engine_twice(monkeypatch):
+    # each cycle is kept as a clause, which unit propagation scans when its
+    # last literal turns false, before the engine sees that literal's edges;
+    # K4 met vertex 3's chain v3_c0 < v3_c1 < v3_c2 < v3_c0 five times when
+    # the engine ran ahead of propagation and cycles were not kept
+    cycles_seen = 0
+    for name, system in _coloring_corpus():
+        _, cycles, _ = _watched_solve(monkeypatch, system)
+        assert len(set(cycles)) == len(cycles), name
+        cycles_seen += len(cycles)
+    assert cycles_seen >= 300  # 355 when this test was written
+
+
+def _skip_prone():
+    """Inputs on which ``theory`` skips an edge if a literal kept across a
+    backtrack keeps its old trail position: the ``gen_random`` seeds of
+    ``test_kept_literals_take_fresh_trail_positions``, found while the
+    engine ran ahead of unit propagation, and three planted seeds on which
+    the skip still happens with propagation first."""
+    for args in [(8, 8, 100, 64, 2198), (3, 6, 100, 64, 66), (8, 8, 20, 16, 186)]:
+        yield args, parse_system(gen_random(*args))
+    for seed in (675, 2011, 2279):
+        yield seed, _planted_relations(seed)
+
+
+def test_every_switched_on_edge_is_live_at_each_decision(monkeypatch):
+    # what ``theory`` must never do: leave out an edge whose guards are all true
+    for name, system in itertools.chain(_coloring_corpus(), _skip_prone()):
+        _, _, missing = _watched_solve(monkeypatch, system)
+        assert missing == [], name
 
 
 @st.composite
@@ -457,8 +560,9 @@ def test_solve_matches_oracle_where_the_search_meets_conflicts():
     # the static lemmas decide most gen_random systems before any conflict;
     # these denser ones still reach conflict analysis, 424 conflicts in all
     # when this test was written, and the floor notices when they stop;
-    # 726 and 2120 are the seeds whose search goes wrong if a literal kept
-    # across a backtrack keeps its old trail position
+    # 726 and 2120 are the seeds whose search went wrong when a literal kept
+    # across a backtrack kept its old trail position and the engine still
+    # ran ahead of unit propagation
     conflicts = unsat = 0
     for seed in (*range(200), 726, 2120):
         system = _planted_relations(seed)
