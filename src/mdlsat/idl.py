@@ -3,14 +3,14 @@ procedure with checkable outcomes, on an incremental engine that the modular
 solver shares.
 
 Constraints have the form x - y <= k.  ``DiffEngine`` holds a stack of them
-as edges (x, y, k, reason), together with a feasible potential pi
-(pi[x] - pi[y] <= k on every edge).  Adding an edge x - y <= k that pi
+as the callers' own edges (x, y, k, tag), together with a feasible potential
+pi (pi[x] - pi[y] <= k on every edge).  Adding an edge x - y <= k that pi
 violates runs a Dijkstra repair over reduced costs (Cotton & Maler, "Fast
 and Flexible Difference Constraint Propagation for DPLL(T)", SAT 2006) from
 both ends at once: lowering x and what it pushes down races raising y and
 what it pushes up, and the side that finishes first is applied.  A side
 whose root alone can move settles without the race.  Either side can
-instead return the reasons of the simple negative cycle the new edge
+instead return the edges of the simple negative cycle the new edge
 closed -- an unsatisfiability certificate whose inequalities sum to
 0 <= (negative).  Retracting edges back to a mark keeps pi feasible.
 ``greatest`` reads the greatest solution relative to one vertex, or the
@@ -18,7 +18,7 @@ greatest solution <= 0, off the live edges, with the same Dijkstra as the
 repair.
 
 ``solve_idl`` adds the constraints to one engine in input order, each
-constraint its own reason, and places a vertex where its first constraint is
+constraint its own edge, and places a vertex where its first constraint is
 tight when the other end is already placed.  Its model is the greatest
 solution <= 0, which is unique; its certificate is a cycle closed by the
 first constraint at which the input prefix turns unsatisfiable.
@@ -110,21 +110,22 @@ class IdlOutcome(NamedTuple):
 class DiffEngine:
     """A stack of difference edges with a feasible potential.
 
-    An edge is x - y <= k with an opaque reason, which is all that a cycle
-    through it hands back.  ``pi`` maps every vertex seen so far to an
-    integer such that pi[x] - pi[y] <= k holds for every live edge.
-    Vertices start at 0, a repair moves them down or up, and ``backtrack``
-    leaves pi where it is: pi is feasible, and nothing more.  A caller may
-    set pi only for a vertex that has no edges yet, which can take any
-    value; that places the vertex.  The engine does not check this, and a
-    repair over an infeasible potential may never return.  The greatest
-    solutions are read off with ``greatest``.  Vertices are hashable, and
-    the ones a search meets must also order against each other, as ints do.
+    An edge is the caller's tuple (x, y, k, tag) for x - y <= k; the engine
+    reads x, y and k, stores the tuple itself and hands it back in a cycle.
+    ``pi`` maps every vertex seen so far to an integer such that
+    pi[x] - pi[y] <= k holds for every live edge.  Vertices start at 0, a
+    repair moves them down or up, and ``backtrack`` leaves pi where it is:
+    pi is feasible, and nothing more.  A caller may set pi only for a vertex
+    that has no edges yet, which can take any value; that places the
+    vertex.  The engine does not check this, and a repair over an
+    infeasible potential may never return.  The greatest solutions are read
+    off with ``greatest``.  Vertices are hashable, and the ones a search
+    meets must also order against each other, as ints do.
     """
 
     def __init__(self):
         self.pi: dict = {}
-        # each live edge (x, y, k, reason) is listed in _into[y], the edges a
+        # each live edge (x, y, k, tag) is listed in _into[y], the edges a
         # drop of pi[y] can violate, and in _out[x], the ones a rise of pi[x]
         # can violate
         self._into: defaultdict = defaultdict(list)
@@ -143,14 +144,13 @@ class DiffEngine:
             into[edge[1]].pop()
             out[edge[0]].pop()
 
-    def add(self, x, y, k: int, reason=None) -> tuple | None:
-        """Add x - y <= k, or return the negative cycle it would close.
+    def add(self, edge) -> tuple | None:
+        """Add the edge (x, y, k, tag), or return the negative cycle it would close.
 
-        The cycle is simple, and comes back as the tuple of its edges'
-        reasons in chain order (each edge's y is the next one's x), starting
-        with the new edge, which is then not added; pi is left as it was.  A
-        self-loop x - x <= k is never stored: it is a cycle of its own when
-        k < 0.  Either way, x and y count as seen.
+        The cycle is simple: its stored edges in chain order (each edge's y is
+        the next one's x), starting with ``edge``, which is then not added,
+        and pi is left as it was.  A self-loop is never stored; it is the
+        cycle ``(edge,)`` when k < 0.  Either way, x and y count as seen.
 
         An edge that pi violates by -drop is repaired from both ends, each
         search capped at 0: lowering x by -drop and whatever that pushes
@@ -167,17 +167,18 @@ class DiffEngine:
         back to its root that weighs less than -k, so a negative cycle; both
         sides find one if either does.
         """
+        x, y, k, _ = edge
         pi = self.pi
         drop = pi.setdefault(y, 0) + k - pi.setdefault(x, 0)
         if x == y:
-            return (reason,) if k < 0 else None
+            return (edge,) if k < 0 else None
         if drop < 0:
             # the side the race steps first: each is charged its root's edges
             a, b = len(self._into.get(x, ())), len(self._out.get(y, ()))
             root, sign, far, edges = (x, 1, 0, self._into) if a <= b else (y, -1, 1, self._out)
             base = drop + sign * pi[root]
-            for edge in edges.get(root, ()):
-                if base + edge[2] < sign * pi[edge[far]]:
+            for e in edges.get(root, ()):
+                if base + e[2] < sign * pi[e[far]]:
                     break  # moving the root alone breaks this edge
             else:  # the race would end in that side's first step
                 pi[root] += sign * drop
@@ -198,20 +199,19 @@ class DiffEngine:
                         break
                     b += work
             if a <= b:
-                dist, parent, root, v, sign = lower, low_parent, x, y, 1
+                dist, parent, root, v, sign, near = lower, low_parent, x, y, 1, 1
             else:
-                dist, parent, root, v, sign = rise, high_parent, y, x, -1
+                dist, parent, root, v, sign, near = rise, high_parent, y, x, -1, 0
             if v in parent:
                 path = []
                 while v != root:
-                    why, v = parent[v]
-                    path.append(why)
+                    path.append(parent[v])
+                    v = path[-1][near]  # the end the edge was followed from
                 if sign < 0:
                     path.reverse()  # it was found from y back to x
-                return (reason, *path)
+                return (edge, *path)
             for v, d in dist.items():
                 pi[v] += sign * d
-        edge = (x, y, k, reason)
         self._into[y].append(edge)
         self._out[x].append(edge)
         self._trail.append(edge)
@@ -244,8 +244,8 @@ class DiffEngine:
         reduced cost.  In a repair, a lowering distance is what pi must add,
         and a raising one what it must subtract.  Only distances below
         ``cap`` are kept, an unreached vertex counting as ``cap``, and the
-        search ends as soon as ``stop`` is offered one.  parent[v] =
-        (reason, u) records the edge that last offered v a distance.
+        search ends as soon as ``stop`` is offered one.  parent[v] is the
+        edge that last offered v a distance.
 
         This is a generator: after settling each vertex it yields the work
         that step charged, the length of the edge list of each vertex it
@@ -265,7 +265,7 @@ class DiffEngine:
                 v = edge[far]
                 r = base + edge[2] - sign * pi[v]
                 if r < dist.get(v, cap):
-                    parent[v] = (edge[3], u)
+                    parent[v] = edge
                     if v == stop:
                         return
                     dist[v] = r
@@ -304,7 +304,7 @@ def solve_idl(constraints) -> IdlOutcome:
                 pi[x] = pi[y] + k  # a new vertex goes where its first edge is tight
         elif y not in pi:
             pi[y] = pi[x] - k
-        cycle = engine.add(x, y, k, c)  # each constraint is its own reason
+        cycle = engine.add(c)  # each constraint is its own edge
         if cycle is not None:
             first = min(range(len(cycle)), key=lambda i: cycle[i].x)
             return IdlOutcome(False, None, cycle[first:] + cycle[:first])

@@ -97,9 +97,9 @@ def brute_force_sat(system: ConstraintSystem, budget: int = 10_000_000) -> Solve
     """
     n = system.modulus.n
     p = system.num_vars
-    total = n**p
-    if total > budget:
-        raise BudgetExceededError(f"{n}^{p} = {total} assignments exceed the budget of {budget}")
+    # n >= 2, so n^p exceeds the budget once p exceeds the budget's bit length
+    if n ** min(p, budget.bit_length()) > budget:
+        raise BudgetExceededError(f"N^p = {n}^{p} assignments exceed the budget of {budget}")
     count = 0
     for values in itertools.product(range(n), repeat=p):
         count += 1
@@ -314,7 +314,7 @@ def solve(system: ConstraintSystem) -> SolveOutcome:
     literals, unguarded, guarded, lemmas = _wrap_theory(system)
     engine = DiffEngine()
     for edge in unguarded:
-        if engine.add(*edge) is not None:
+        if engine.add(edge) is not None:
             return SolveOutcome(False, None, SearchStats("cdcl", 0, 1))
 
     # indexed by literal i; the trail and clauses hold codes 2*i + value
@@ -341,16 +341,16 @@ def solve(system: ConstraintSystem) -> SolveOutcome:
     def theory(lit: int) -> tuple | None:
         """Add the edges ``lit`` completes; a negative cycle comes back as a false clause, already stored."""
         here = position[lit >> 1]
-        for a, b, k, guard in guarded[lit]:
-            for g in guard:
+        for edge in guarded[lit]:
+            for g in edge[3]:
                 i = g >> 1
                 if value[i] != g & 1 or position[i] > here:
                     break  # not switched on yet, or the later literal adds it
             else:
-                cycle = engine.add(a, b, k, guard)
+                cycle = engine.add(edge)
                 if cycle is not None:
                     # not all of the guards of the cycle's edges, kept like a learned clause
-                    clause = tuple(g ^ 1 for g in dict.fromkeys(g for guard in cycle for g in guard))
+                    clause = tuple(g ^ 1 for g in dict.fromkeys(g for e in cycle for g in e[3]))
                     for c in clause:
                         occurs[c].append(clause)
                     return clause

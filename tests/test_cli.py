@@ -196,6 +196,18 @@ def test_solve_oracle_budget_exceeded(tmp_path, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("mod, lines", [(2**32, 451), (10, 4399)], ids=["mod-2^32-452-vars", "mod-10-4400-vars"])
+def test_solve_oracle_budget_exceeded_past_the_int_digit_limit(tmp_path, capsys, mod, lines):
+    # N^p has more than 4,300 digits, which str() refuses to render
+    chain = "".join(f"x{i} <= x{i + 1}\n" for i in range(lines))
+    path = write(tmp_path, "wide.mdl", f"mod {mod}\n" + chain)
+    code, out, err = run(capsys, "solve", path, "--oracle")
+    assert code == EXIT_USAGE
+    assert err.startswith("error:") and "budget" in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
 def test_solve_number_too_long_is_a_parse_error(tmp_path, capsys):
     path = write(tmp_path, "long.mdl", "mod 1" + "0" * 5000 + "\n")
     code, out, err = run(capsys, "solve", path)

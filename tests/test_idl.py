@@ -147,28 +147,28 @@ def _greatest_at_most_zero(vertices, edges):
 def test_engine_add_and_backtrack_keep_a_feasible_potential(seed):
     rng = random.Random(seed)
     engine = DiffEngine()
-    live = []  # (engine mark before the add, reason)
+    live = []  # (engine mark before the add, step)
     marks = [engine.mark()]
-    added = {}  # reason -> constraint
+    added = {}  # step -> the edge added then, its origin the step
     for step in range(rng.randint(1, 60)):
         if live and rng.random() < 0.2:
             mark = rng.choice([m for m in marks if m <= engine.mark()])
             engine.backtrack(mark)
             live = [(m, r) for m, r in live if m < mark]
         else:
-            new = c(rng.randrange(5), rng.randrange(5), rng.randint(-6, 6))
+            new = c(rng.randrange(5), rng.randrange(5), rng.randint(-6, 6), step)
             added[step] = new
             before = engine.mark()
-            cycle = engine.add(new.x, new.y, new.k, step)
+            cycle = engine.add(new)
             if cycle is None:
                 live.append((before, step))
             else:
-                # reasons in chain order, starting with the new edge
-                assert cycle[0] == step
-                assert set(cycle) - {step} <= {r for _, r in live}
-                edges = [added[r] for r in cycle]
-                assert check_idl_cycle(edges)
-                starts = [e.x for e in edges]
+                # the edges passed in, in chain order, starting with the new one
+                assert cycle[0] is new
+                assert all(e is added[e.origin] for e in cycle)
+                assert {e.origin for e in cycle} - {step} <= {r for _, r in live}
+                assert check_idl_cycle(cycle)
+                starts = [e.x for e in cycle]
                 assert len(set(starts)) == len(starts)
                 assert engine.mark() == before
             marks.append(engine.mark())
@@ -197,10 +197,10 @@ def test_engine_raises_y_instead_of_lowering_a_hub():
     # raising y is charged far less than lowering x and its neighbours
     engine = DiffEngine()
     for v in range(1, 101):
-        assert engine.add(v, 0, 0) is None
-    assert engine.add(101, 102, 5) is None
+        assert engine.add(c(v, 0, 0)) is None
+    assert engine.add(c(101, 102, 5)) is None
     before = dict(engine.pi)
-    assert engine.add(0, 101, -1) is None
+    assert engine.add(c(0, 101, -1)) is None
     assert engine.pi == {**before, 101: before[101] + 1}
 
 
@@ -208,12 +208,13 @@ def test_a_cycle_closed_from_the_raising_side_comes_back_in_chain_order():
     engine = DiffEngine()
     chain = [c(101, 102, 0), c(102, 103, -2), c(103, 0, 0)]
     for e in [c(v, 0, 0) for v in range(1, 101)] + chain:
-        assert engine.add(e.x, e.y, e.k, e) is None
+        assert engine.add(e) is None
     before = dict(engine.pi)
     new = c(0, 101, 1)
-    cycle = engine.add(new.x, new.y, new.k, new)
+    cycle = engine.add(new)
     # found from y = 101 forward to x = 0, and handed back from the new edge
     assert cycle == (new, *chain)
+    assert all(e is f for e, f in zip(cycle, (new, *chain)))
     assert check_idl_cycle(cycle)
     assert engine.pi == before
 
@@ -227,9 +228,9 @@ def test_a_hub_closes_a_cycle_through_the_earlier_of_two_parallel_edges():
     edges = [c(v, 0, 0) for v in range(1, 101)] + [c(200, 0, 1), c(200, 0, 0), c(0, 300, 0)]
     edges += [c(200, 201, 0)] + [c(201, w, 9) for w in range(1000, 1150)]  # y's side is dear
     for e in edges:
-        assert engine.add(e.x, e.y, e.k, e) is None
+        assert engine.add(e) is None
     new = c(300, 200, -2)
-    cycle = engine.add(new.x, new.y, new.k, new)
+    cycle = engine.add(new)
     assert cycle == (new, c(200, 0, 1), c(0, 300, 0))
     assert cycle[1] is edges[100]  # not the lighter edges[101]
     reference = reference_engine.DiffEngine()
@@ -243,10 +244,12 @@ def test_a_one_step_repair_moves_only_the_root():
     # lowering x by 5 breaks none of them, so only pi[x] moves
     engine = DiffEngine()
     for e in [c(1, 0, 5), c(2, 0, 7), c(3, 0, 5)] + [c(10, w, 0) for w in range(11, 15)]:
-        assert engine.add(e.x, e.y, e.k) is None
+        assert engine.add(e) is None
     before = dict(engine.pi)
-    assert engine.add(0, 10, -5) is None
+    new = c(0, 10, -5)
+    assert engine.add(new) is None
     assert engine.pi == {**before, 0: -5}
+    _assert_stored_last(engine, new)  # not the last of x's edges that the move was checked against
 
 
 def test_a_one_step_repair_moves_only_the_root_from_the_raising_side():
@@ -254,10 +257,61 @@ def test_a_one_step_repair_moves_only_the_root_from_the_raising_side():
     # with slack 5 and 7, so raising y by 5 is tried first and breaks none
     engine = DiffEngine()
     for e in [c(w, 0, 0) for w in range(11, 15)] + [c(10, 1, 5), c(10, 2, 7), c(10, 3, 5)]:
-        assert engine.add(e.x, e.y, e.k) is None
+        assert engine.add(e) is None
     before = dict(engine.pi)
-    assert engine.add(0, 10, -5) is None
+    new = c(0, 10, -5)
+    assert engine.add(new) is None
     assert engine.pi == {**before, 10: 5}
+    _assert_stored_last(engine, new)
+
+
+def _assert_stored_last(engine, edge):
+    """The last edge ``engine`` stored is ``edge`` itself, in all three lists."""
+    assert engine._trail[-1] is edge
+    assert engine._into[edge.y][-1] is edge
+    assert engine._out[edge.x][-1] is edge
+
+
+def test_the_stored_edge_is_the_argument_with_and_without_a_repair():
+    engine = DiffEngine()
+    for e in [c(1, 0, 0), c(2, 1, 0), c(3, 2, 0), c(0, 4, 3), c(4, 5, 0)]:
+        assert engine.add(e) is None
+        _assert_stored_last(engine, e)
+    # 0 - 4 <= -2 is violated by 2; lowering 0 alone breaks 1 - 0 <= 0 and
+    # raising 4 alone breaks 4 - 5 <= 0, so the race runs, and raising wins
+    new = c(0, 4, -2)
+    before = engine.mark()
+    assert engine.add(new) is None
+    assert engine.mark() == before + 1
+    _assert_stored_last(engine, new)
+    assert engine.pi == {0: 0, 1: 0, 2: 0, 3: 0, 4: 2, 5: 2}
+
+
+def test_a_cycle_closed_from_the_lowering_side_comes_back_in_chain_order():
+    # x = 0 has one edge into it and y = 1 a hundred out-edges, so lowering x
+    # steps first and reaches y through 2
+    engine = DiffEngine()
+    chain = [c(1, 2, 0), c(2, 0, 0)]
+    for e in chain + [c(1, w, 9) for w in range(1000, 1100)]:
+        assert engine.add(e) is None
+    before, pi = engine.mark(), dict(engine.pi)
+    new = c(0, 1, -1)
+    cycle = engine.add(new)
+    assert cycle == (new, *chain)
+    assert all(e is f for e, f in zip(cycle, (new, *chain)))
+    assert check_idl_cycle(cycle)
+    # the edge that closes a cycle is not stored, and pi is left as it was
+    assert engine.mark() == before and engine.pi == pi
+    assert all(e is not new for e in engine._trail + engine._into[1] + engine._out[0])
+
+
+def test_a_negative_self_loop_is_a_cycle_of_itself_and_never_stored():
+    engine = DiffEngine()
+    loop, vacuous = c(7, 7, -1), c(8, 8, 0)
+    cycle = engine.add(loop)
+    assert cycle == (loop,) and cycle[0] is loop
+    assert engine.add(vacuous) is None
+    assert engine.mark() == 0 and engine.pi == {7: 0, 8: 0}
 
 
 @given(st.integers(min_value=0, max_value=10**9))
@@ -286,7 +340,9 @@ def test_engine_matches_the_reference_engine_around_a_busy_vertex(seed):
                 x, y = rng.randrange(6), rng.randrange(6)
             pairs.append((x, y))
             k = rng.randint(-2, 6) if step < hub else rng.randint(-6, 6)
-            assert engine.add(x, y, k, step) == reference.add(x, y, k, step)
+            cycle = engine.add((x, y, k, step))
+            expected = reference.add(x, y, k, step)  # the tags of the cycle's edges
+            assert (None if cycle is None else tuple(e[3] for e in cycle)) == expected
         assert engine.mark() == reference.mark()
         marks.append(engine.mark())
         assert engine.pi == reference.pi

@@ -395,10 +395,10 @@ def _watched_solve(monkeypatch, system) -> tuple:
                 if true.issuperset(guard) and (edge not in live if a != b else k < 0):
                     missing.append(edge)
 
-    def watched_add(engine, x, y, k, reason=None):
-        cycle = add(engine, x, y, k, reason)
+    def watched_add(engine, edge):
+        cycle = add(engine, edge)
         if cycle is not None:
-            cycles.append(frozenset(g for guard in cycle for g in guard))
+            cycles.append(frozenset(g for e in cycle for g in e[3]))
         return cycle
 
     def watched_mark(engine):

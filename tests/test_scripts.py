@@ -103,6 +103,15 @@ def test_compare_stops_where_the_lemmas_differ(tmp_path):
     assert "K4 nonstrict: the trees differ in the verdict, decisions, conflicts and lemmas at item 3" in done.stderr
 
 
+def test_compare_stops_where_the_certificates_differ(tmp_path):
+    # a tree that rotates each negative cycle to its largest vertex returns
+    # the same verdict with the same edges, in another order
+    old = "min(range(len(cycle)), key=lambda i: cycle[i].x)"
+    done = _compare(_mutant(tmp_path, "idl.py", old, old.replace("min", "max")))
+    assert done.returncode == 1
+    assert "v100-c400: the trees differ in the outcome" in done.stderr
+
+
 def test_compare_stops_where_the_relaxations_differ(tmp_path):
     # a tree that reads x < y as x - y <= 0 relaxes the first file differently;
     # the report names the first differing edge, not the whole edge list
