@@ -300,7 +300,7 @@ def _build_parser() -> _Parser:
     solve.add_argument("--oracle", action="store_true", help="exhaustive enumeration instead of search")
     solve.add_argument("--relax", action="store_true", help="also report the integer-relaxation verdict")
     solve.add_argument("--normalize", action="store_true", help="check that a SAT model lies in the bounded domain")
-    solve.add_argument("--budget", type=int, default=10_000_000, help="assignment budget for --oracle")
+    solve.add_argument("--budget", type=int, default=mdl.BRUTE_FORCE_BUDGET, help="assignment budget for --oracle")
     solve.set_defaults(func=cmd_solve)
 
     reduce_ = sub.add_parser("reduce", help="encode a DIMACS graph's 3-colorability")

@@ -4,24 +4,24 @@ solver shares.
 
 Constraints have the form x - y <= k.  ``DiffEngine`` holds a stack of them
 as the callers' own edges (x, y, k, tag), together with a feasible potential
-pi (pi[x] - pi[y] <= k on every edge).  Adding an edge x - y <= k that pi
-violates runs a Dijkstra repair over reduced costs (Cotton & Maler, "Fast
-and Flexible Difference Constraint Propagation for DPLL(T)", SAT 2006) from
-both ends at once: lowering x and what it pushes down races raising y and
-what it pushes up, and the side that finishes first is applied.  A side
-whose root alone can move settles without the race.  Either side can
-instead return the edges of the simple negative cycle the new edge
-closed -- an unsatisfiability certificate whose inequalities sum to
-0 <= (negative).  Retracting edges back to a mark keeps pi feasible.
-``greatest`` reads the greatest solution relative to one vertex, or the
-greatest solution <= 0, off the live edges, with the same Dijkstra as the
-repair.
+pi (pi[x] - pi[y] <= k on every edge).  A vertex an edge names for the
+first time is placed where that edge is tight, or at 0 with the other end
+when both are new.  Adding an edge that pi violates runs a Dijkstra repair
+over reduced costs (Cotton & Maler, "Fast and Flexible Difference
+Constraint Propagation for DPLL(T)", SAT 2006) from both ends at once:
+lowering x and what it pushes down races raising y and what it pushes up,
+and the side that finishes first is applied.  A side whose root alone can
+move settles without the race.  Either side can instead return the edges
+of the simple negative cycle the new edge closed -- an unsatisfiability
+certificate whose inequalities sum to 0 <= (negative).  Retracting edges
+back to a mark keeps pi feasible.  ``greatest`` reads the greatest
+solution relative to one vertex, or the greatest solution <= 0, off the
+live edges, with the same Dijkstra as the repair.
 
 ``solve_idl`` adds the constraints to one engine in input order, each
-constraint its own edge, and places a vertex where its first constraint is
-tight when the other end is already placed.  Its model is the greatest
-solution <= 0, which is unique; its certificate is a cycle closed by the
-first constraint at which the input prefix turns unsatisfiable.
+constraint its own edge.  Its model is the greatest solution <= 0, which is
+unique; its certificate is a cycle closed by the first constraint at which
+the input prefix turns unsatisfiable.
 
 ``relax_to_idl`` translates a modular system into this integer form by
 ignoring wraparound.  That reading is deliberately neither sound nor
@@ -113,14 +113,12 @@ class DiffEngine:
     An edge is the caller's tuple (x, y, k, tag) for x - y <= k; the engine
     reads x, y and k, stores the tuple itself and hands it back in a cycle.
     ``pi`` maps every vertex seen so far to an integer such that
-    pi[x] - pi[y] <= k holds for every live edge.  Vertices start at 0, a
-    repair moves them down or up, and ``backtrack`` leaves pi where it is:
-    pi is feasible, and nothing more.  A caller may set pi only for a vertex
-    that has no edges yet, which can take any value; that places the
-    vertex.  The engine does not check this, and a repair over an
-    infeasible potential may never return.  The greatest solutions are read
-    off with ``greatest``.  Vertices are hashable, and the ones a search
-    meets must also order against each other, as ints do.
+    pi[x] - pi[y] <= k holds for every live edge; only the engine writes
+    it.  ``add`` places each vertex it sees for the first time, a repair
+    moves vertices down or up, and ``backtrack`` leaves pi where it is: pi
+    is feasible, and nothing more.  The greatest solutions are read off with
+    ``greatest``.  Vertices are hashable, and the ones a search meets must
+    also order against each other, as ints do.
     """
 
     def __init__(self):
@@ -152,6 +150,10 @@ class DiffEngine:
         and pi is left as it was.  A self-loop is never stored; it is the
         cycle ``(edge,)`` when k < 0.  Either way, x and y count as seen.
 
+        An end seen for the first time is placed where the edge is tight,
+        pi[x] = pi[y] + k or pi[y] = pi[x] - k, so the edge needs no repair;
+        when both ends are new, both start at 0.
+
         An edge that pi violates by -drop is repaired from both ends, each
         search capped at 0: lowering x by -drop and whatever that pushes
         down, or raising y by -drop and whatever that pushes up.  The side
@@ -169,7 +171,11 @@ class DiffEngine:
         """
         x, y, k, _ = edge
         pi = self.pi
-        drop = pi.setdefault(y, 0) + k - pi.setdefault(x, 0)
+        if y not in pi:
+            pi[y] = pi[x] - k if x in pi else 0
+        elif x not in pi:
+            pi[x] = pi[y] + k
+        drop = pi[y] + k - pi.setdefault(x, 0)
         if x == y:
             return (edge,) if k < 0 else None
         if drop < 0:
@@ -284,27 +290,14 @@ def solve_idl(constraints) -> IdlOutcome:
     the input prefix turns unsatisfiable, rotated to start at its smallest
     vertex id.
 
-    When a constraint x - y <= k names a vertex for the first time and its
-    other end already has a potential, the new vertex is placed where the
-    constraint is tight (pi[x] = pi[y] + k, or pi[y] = pi[x] - k) before the
-    edge is added, so the edge needs no repair.  An input that states each
-    variable's bound before its relations then makes far fewer repairs; in
-    other orders the gain is smaller.  Neither the verdict nor the model
-    depends on pi, so the placement changes neither, and the closing
-    constraint is the same too.  Where that constraint closes more than one
-    negative cycle, which of them comes back depends on pi, so it may differ
-    from the cycle an unplaced engine would return.
+    Each constraint is its own edge, so a vertex is placed where the first
+    constraint naming it is tight when that constraint's other end is
+    already placed (see ``DiffEngine.add``).  An input that states each
+    variable's bound before its relations then makes far fewer repairs.
     """
     engine = DiffEngine()
-    pi = engine.pi
     for c in constraints:
-        x, y, k = c.x, c.y, c.k
-        if x not in pi:
-            if y in pi:
-                pi[x] = pi[y] + k  # a new vertex goes where its first edge is tight
-        elif y not in pi:
-            pi[y] = pi[x] - k
-        cycle = engine.add(c)  # each constraint is its own edge
+        cycle = engine.add(c)
         if cycle is not None:
             first = min(range(len(cycle)), key=lambda i: cycle[i].x)
             return IdlOutcome(False, None, cycle[first:] + cycle[:first])

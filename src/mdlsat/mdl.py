@@ -38,6 +38,10 @@ from .core import Assignment, ConstraintSystem, MdlError, Term, eval_system
 from .idl import ORIENTED, DiffEngine
 
 
+#: The most assignments ``brute_force_sat`` enumerates unless told otherwise.
+BRUTE_FORCE_BUDGET = 10_000_000
+
+
 class BudgetExceededError(MdlError):
     """The requested enumeration is larger than the allowed budget."""
 
@@ -89,7 +93,7 @@ def small_model_bound(system: ConstraintSystem) -> DomainBound:
     return DomainBound(b, system.modulus.n)
 
 
-def brute_force_sat(system: ConstraintSystem, budget: int = 10_000_000) -> SolveOutcome:
+def brute_force_sat(system: ConstraintSystem, budget: int = BRUTE_FORCE_BUDGET) -> SolveOutcome:
     """Enumerate all N^p assignments in lexicographic order.
 
     Returns the first satisfying assignment, or UNSAT after seeing them all.

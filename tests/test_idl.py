@@ -133,6 +133,11 @@ def test_cycle_checker_rejects_broken_chains():
 # --- incremental engine ------------------------------------------------------
 
 
+# Each example of a property test runs under this wall-clock limit, so that a
+# repair that never returns fails the test instead of hanging the suite.
+EXAMPLE_SECONDS = 10.0
+
+
 def _greatest_at_most_zero(vertices, edges):
     """Bellman-Ford from a virtual source with a 0 edge to every vertex."""
     dist = dict.fromkeys(vertices, 0)
@@ -145,51 +150,52 @@ def _greatest_at_most_zero(vertices, edges):
 @given(st.integers(min_value=0, max_value=10**9))
 @settings(max_examples=200, deadline=None)
 def test_engine_add_and_backtrack_keep_a_feasible_potential(seed):
-    rng = random.Random(seed)
-    engine = DiffEngine()
-    live = []  # (engine mark before the add, step)
-    marks = [engine.mark()]
-    added = {}  # step -> the edge added then, its origin the step
-    for step in range(rng.randint(1, 60)):
-        if live and rng.random() < 0.2:
-            mark = rng.choice([m for m in marks if m <= engine.mark()])
-            engine.backtrack(mark)
-            live = [(m, r) for m, r in live if m < mark]
-        else:
-            new = c(rng.randrange(5), rng.randrange(5), rng.randint(-6, 6), step)
-            added[step] = new
-            before = engine.mark()
-            cycle = engine.add(new)
-            if cycle is None:
-                live.append((before, step))
+    with time_limit(EXAMPLE_SECONDS):
+        rng = random.Random(seed)
+        engine = DiffEngine()
+        live = []  # (engine mark before the add, step)
+        marks = [engine.mark()]
+        added = {}  # step -> the edge added then, its origin the step
+        for step in range(rng.randint(1, 60)):
+            if live and rng.random() < 0.2:
+                mark = rng.choice([m for m in marks if m <= engine.mark()])
+                engine.backtrack(mark)
+                live = [(m, r) for m, r in live if m < mark]
             else:
-                # the edges passed in, in chain order, starting with the new one
-                assert cycle[0] is new
-                assert all(e is added[e.origin] for e in cycle)
-                assert {e.origin for e in cycle} - {step} <= {r for _, r in live}
-                assert check_idl_cycle(cycle)
-                starts = [e.x for e in cycle]
-                assert len(set(starts)) == len(starts)
-                assert engine.mark() == before
-            marks.append(engine.mark())
-        edges = [added[r] for _, r in live]
-        pi = engine.pi
-        assert all(pi.get(e.x, 0) - pi.get(e.y, 0) <= e.k for e in edges)
-        # greatest() is the greatest solution <= 0 of the live edges, before
-        # and after retractions
-        assert engine.greatest() == _greatest_at_most_zero(pi, edges)
-        # greatest(root) is the shortest-path distance from root along the
-        # live edges, here by Bellman-Ford: x - y <= k takes y's distance
-        # plus k on to x
-        root = rng.randrange(5)
-        dist = {root: 0}
-        for _ in range(5):
-            for e in edges:
-                if e.y in dist and (e.x not in dist or dist[e.y] + e.k < dist[e.x]):
-                    dist[e.x] = dist[e.y] + e.k
-        greatest = engine.greatest(root)
-        assert greatest == dist
-        assert all(greatest[e.x] - greatest[e.y] <= e.k for e in edges if e.y in greatest)
+                new = c(rng.randrange(5), rng.randrange(5), rng.randint(-6, 6), step)
+                added[step] = new
+                before = engine.mark()
+                cycle = engine.add(new)
+                if cycle is None:
+                    live.append((before, step))
+                else:
+                    # the edges passed in, in chain order, starting with the new one
+                    assert cycle[0] is new
+                    assert all(e is added[e.origin] for e in cycle)
+                    assert {e.origin for e in cycle} - {step} <= {r for _, r in live}
+                    assert check_idl_cycle(cycle)
+                    starts = [e.x for e in cycle]
+                    assert len(set(starts)) == len(starts)
+                    assert engine.mark() == before
+                marks.append(engine.mark())
+            edges = [added[r] for _, r in live]
+            pi = engine.pi
+            assert all(pi.get(e.x, 0) - pi.get(e.y, 0) <= e.k for e in edges)
+            # greatest() is the greatest solution <= 0 of the live edges, before
+            # and after retractions
+            assert engine.greatest() == _greatest_at_most_zero(pi, edges)
+            # greatest(root) is the shortest-path distance from root along the
+            # live edges, here by Bellman-Ford: x - y <= k takes y's distance
+            # plus k on to x
+            root = rng.randrange(5)
+            dist = {root: 0}
+            for _ in range(5):
+                for e in edges:
+                    if e.y in dist and (e.x not in dist or dist[e.y] + e.k < dist[e.x]):
+                        dist[e.x] = dist[e.y] + e.k
+            greatest = engine.greatest(root)
+            assert greatest == dist
+            assert all(greatest[e.x] - greatest[e.y] <= e.k for e in edges if e.y in greatest)
 
 
 def test_engine_raises_y_instead_of_lowering_a_hub():
@@ -243,6 +249,7 @@ def test_a_one_step_repair_moves_only_the_root():
     # x = 0 has three in-edges with slack 5 and 7, y = 10 four out-edges:
     # lowering x by 5 breaks none of them, so only pi[x] moves
     engine = DiffEngine()
+    _name_at_zero(engine, [0, 1, 2, 3, *range(10, 15)])
     for e in [c(1, 0, 5), c(2, 0, 7), c(3, 0, 5)] + [c(10, w, 0) for w in range(11, 15)]:
         assert engine.add(e) is None
     before = dict(engine.pi)
@@ -256,6 +263,7 @@ def test_a_one_step_repair_moves_only_the_root_from_the_raising_side():
     # the mirror case: x = 0 has four in-edges and y = 10 three out-edges
     # with slack 5 and 7, so raising y by 5 is tried first and breaks none
     engine = DiffEngine()
+    _name_at_zero(engine, [0, 1, 2, 3, *range(10, 15)])
     for e in [c(w, 0, 0) for w in range(11, 15)] + [c(10, 1, 5), c(10, 2, 7), c(10, 3, 5)]:
         assert engine.add(e) is None
     before = dict(engine.pi)
@@ -263,6 +271,14 @@ def test_a_one_step_repair_moves_only_the_root_from_the_raising_side():
     assert engine.add(new) is None
     assert engine.pi == {**before, 10: 5}
     _assert_stored_last(engine, new)
+
+
+def _name_at_zero(engine, vertices):
+    """Let ``engine`` see each vertex at 0 through a vacuous self-loop, which
+    it never stores, so that later edges start from a potential of all 0."""
+    for v in vertices:
+        assert engine.add(c(v, v, 0)) is None
+    assert engine.mark() == 0 and engine.pi == dict.fromkeys(vertices, 0)
 
 
 def _assert_stored_last(engine, edge):
@@ -319,36 +335,45 @@ def test_a_negative_self_loop_is_a_cycle_of_itself_and_never_stored():
 def test_engine_matches_the_reference_engine_around_a_busy_vertex(seed):
     # vertex 0 first gets 30-100 edges to and from vertices 1-5, so many of
     # them are parallel and any stop vertex is adjacent to it; random adds,
-    # some parallel to an earlier edge, and backtracks follow
-    rng = random.Random(seed)
-    engine, reference = DiffEngine(), reference_engine.DiffEngine()
-    hub = rng.randint(30, 100)
-    marks = [engine.mark()]
-    pairs = []
-    for step in range(hub + rng.randint(20, 60)):
-        if step >= hub and rng.random() < 0.15:
-            mark = rng.choice([m for m in marks if m <= engine.mark()])
-            engine.backtrack(mark)
-            reference.backtrack(mark)
-        else:
-            if step < hub:
-                w = rng.randint(1, 5)
-                x, y = rng.choice([(0, w), (w, 0)])
-            elif rng.random() < 0.3:
-                x, y = rng.choice(pairs)
+    # some parallel to an earlier edge, and backtracks follow.  The reference
+    # engine starts every vertex at 0, so a new end is placed for it where
+    # its edge is tight, as DiffEngine.add places it
+    with time_limit(EXAMPLE_SECONDS):
+        rng = random.Random(seed)
+        engine, reference = DiffEngine(), reference_engine.DiffEngine()
+        hub = rng.randint(30, 100)
+        marks = [engine.mark()]
+        pairs = []
+        for step in range(hub + rng.randint(20, 60)):
+            if step >= hub and rng.random() < 0.15:
+                mark = rng.choice([m for m in marks if m <= engine.mark()])
+                engine.backtrack(mark)
+                reference.backtrack(mark)
             else:
-                x, y = rng.randrange(6), rng.randrange(6)
-            pairs.append((x, y))
-            k = rng.randint(-2, 6) if step < hub else rng.randint(-6, 6)
-            cycle = engine.add((x, y, k, step))
-            expected = reference.add(x, y, k, step)  # the tags of the cycle's edges
-            assert (None if cycle is None else tuple(e[3] for e in cycle)) == expected
-        assert engine.mark() == reference.mark()
-        marks.append(engine.mark())
-        assert engine.pi == reference.pi
-        assert engine.greatest() == reference.greatest()
-        root = rng.randrange(6)
-        assert engine.greatest(root) == reference.greatest(root)
+                if step < hub:
+                    w = rng.randint(1, 5)
+                    x, y = rng.choice([(0, w), (w, 0)])
+                elif rng.random() < 0.3:
+                    x, y = rng.choice(pairs)
+                else:
+                    x, y = rng.randrange(6), rng.randrange(6)
+                pairs.append((x, y))
+                k = rng.randint(-2, 6) if step < hub else rng.randint(-6, 6)
+                cycle = engine.add((x, y, k, step))
+                pi = reference.pi
+                if x not in pi:
+                    if y in pi:
+                        pi[x] = pi[y] + k
+                elif y not in pi:
+                    pi[y] = pi[x] - k
+                expected = reference.add(x, y, k, step)  # the tags of the cycle's edges
+                assert (None if cycle is None else tuple(e[3] for e in cycle)) == expected
+            assert engine.mark() == reference.mark()
+            marks.append(engine.mark())
+            assert engine.pi == reference.pi
+            assert engine.greatest() == reference.greatest()
+            root = rng.randrange(6)
+            assert engine.greatest(root) == reference.greatest(root)
 
 
 def _planted_idl(rng, size, bound_slack, relation_slack):
@@ -373,18 +398,42 @@ def _planted_idl(rng, size, bound_slack, relation_slack):
     return bounds, relations
 
 
-def test_vertices_placed_by_their_bounds_need_no_repair(monkeypatch):
-    # each vertex is first named by its bound, so it is placed within 3 of
-    # the model, and no relation with slack 6 or more is then violated
-    bounds, relations = _planted_idl(random.Random(5), 40, (0, 3), (6, 20))
+def _dijkstra_calls(monkeypatch) -> list:
+    """The arguments after ``dist`` and ``parent`` of each later
+    ``DiffEngine._dijkstra`` call: a repair passes the side, the cap and the
+    stop vertex, ``greatest`` nothing."""
     calls = []
     dijkstra = DiffEngine._dijkstra
 
     def counted(self, *args, **kwargs):
-        calls.append(args[2:])  # a repair passes the side, the cap and the stop vertex
+        calls.append(args[2:])
         return dijkstra(self, *args, **kwargs)
 
     monkeypatch.setattr(DiffEngine, "_dijkstra", counted)
+    return calls
+
+
+def test_add_places_a_new_end_where_its_edge_is_tight(monkeypatch):
+    calls = _dijkstra_calls(monkeypatch)
+    engine = DiffEngine()
+    assert engine.add(c(1, 2, 4)) is None  # both ends new: both at 0
+    assert engine.pi == {1: 0, 2: 0}
+    assert engine.add(c(3, 1, 5)) is None  # x new, y placed: pi[x] = pi[y] + k
+    assert engine.pi == {1: 0, 2: 0, 3: 5}
+    assert engine.add(c(3, 4, -6)) is None  # y new, x placed: pi[y] = pi[x] - k
+    assert engine.pi == {1: 0, 2: 0, 3: 5, 4: 11}
+    loop = c(5, 5, -1)
+    assert engine.add(loop) == (loop,)  # a new negative self-loop is seen, at 0
+    assert engine.pi == {1: 0, 2: 0, 3: 5, 4: 11, 5: 0}
+    assert engine.mark() == 3
+    assert calls == []
+
+
+def test_vertices_placed_by_their_bounds_need_no_repair(monkeypatch):
+    # each vertex is first named by its bound, so it is placed within 3 of
+    # the model, and no relation with slack 6 or more is then violated
+    bounds, relations = _planted_idl(random.Random(5), 40, (0, 3), (6, 20))
+    calls = _dijkstra_calls(monkeypatch)
     out = solve_idl(bounds + relations)
     assert calls == [()]  # greatest's one search, and no repair
     assert out.sat
@@ -393,9 +442,10 @@ def test_vertices_placed_by_their_bounds_need_no_repair(monkeypatch):
 
 @pytest.mark.parametrize("order", ["bounds-first", "shuffled", "relations-only"])
 def test_placement_keeps_the_verdict_model_and_closing_constraint(order):
-    # solve_idl places new vertices; the reference engine, fed the same
-    # constraints in order with every vertex at 0, must agree with it on
-    # all that does not depend on pi
+    # DiffEngine.add places new vertices; the reference engine, fed the
+    # same constraints in order with every vertex at 0, must agree with
+    # solve_idl on all that does not depend on pi: the verdict, the model
+    # and the closing constraint, though not always which cycle it closes
     for seed in range(150):
         rng = random.Random(seed)
         bounds, relations = _planted_idl(rng, rng.randint(2, 12), (0, 4), (-2, 8))
@@ -435,40 +485,42 @@ def _random_constraints(rng, max_vars=6, max_cons=10, span=5):
 @given(st.integers(min_value=0, max_value=10**9))
 @settings(max_examples=200, deadline=None)
 def test_outcomes_are_self_certifying(seed):
-    constraints = _random_constraints(random.Random(seed))
-    out = solve_idl(constraints)
-    if out.sat:
-        assert check_idl_model(constraints, out.model)
-        # the model is the greatest solution <= 0: never positive, and 0 or
-        # pinned by a tight constraint x - y <= k
-        for x, value in out.model.items():
-            assert value <= 0
-            assert value == 0 or any(
-                e.x == x and value == out.model[e.y] + e.k for e in constraints
-            )
-    else:
-        assert check_idl_cycle(out.cycle)
-        # certificate constraints all come from the input
-        assert set(out.cycle) <= set(constraints)
-        # a simple cycle, rotated to start at its smallest vertex id
-        starts = [e.x for e in out.cycle]
-        assert len(set(starts)) == len(starts)
-        assert starts[0] == min(starts)
-        # the cycle is closed by the first constraint at which the input
-        # prefix turns unsatisfiable
-        j = max(i for i, e in enumerate(constraints) if any(e is f for f in out.cycle))
-        assert solve_idl(constraints[:j]).sat
+    with time_limit(EXAMPLE_SECONDS):
+        constraints = _random_constraints(random.Random(seed))
+        out = solve_idl(constraints)
+        if out.sat:
+            assert check_idl_model(constraints, out.model)
+            # the model is the greatest solution <= 0: never positive, and 0 or
+            # pinned by a tight constraint x - y <= k
+            for x, value in out.model.items():
+                assert value <= 0
+                assert value == 0 or any(
+                    e.x == x and value == out.model[e.y] + e.k for e in constraints
+                )
+        else:
+            assert check_idl_cycle(out.cycle)
+            # certificate constraints all come from the input
+            assert set(out.cycle) <= set(constraints)
+            # a simple cycle, rotated to start at its smallest vertex id
+            starts = [e.x for e in out.cycle]
+            assert len(set(starts)) == len(starts)
+            assert starts[0] == min(starts)
+            # the cycle is closed by the first constraint at which the input
+            # prefix turns unsatisfiable
+            j = max(i for i, e in enumerate(constraints) if any(e is f for f in out.cycle))
+            assert solve_idl(constraints[:j]).sat
 
 
 @given(st.integers(min_value=0, max_value=10**9))
 @settings(max_examples=200, deadline=None)
 def test_model_is_the_greatest_solution_at_most_zero(seed):
     # the model solve --relax prints
-    constraints = _random_constraints(random.Random(seed))
-    out = solve_idl(constraints)
-    if out.sat:
-        variables = sorted({e.x for e in constraints} | {e.y for e in constraints})
-        assert out.model == _greatest_at_most_zero(variables, constraints)
+    with time_limit(EXAMPLE_SECONDS):
+        constraints = _random_constraints(random.Random(seed))
+        out = solve_idl(constraints)
+        if out.sat:
+            variables = sorted({e.x for e in constraints} | {e.y for e in constraints})
+            assert out.model == _greatest_at_most_zero(variables, constraints)
 
 
 def test_determinism():
