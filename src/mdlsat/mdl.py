@@ -277,12 +277,13 @@ def solve(system: ConstraintSystem) -> SolveOutcome:
     backtracks to level c-1 only, and the remaining literal is asserted at
     the highest level b among the clause's others; when that clause is the
     conflict clause itself, it is not stored again.  Backtracking to a level
-    keeps the trail's literals of that level or below and propagates them
-    again from the cut, so their edges re-enter the engine.  A kept literal
-    takes a fresh trail position, since an edge goes in when the last of
-    its literals on the trail does.  A conflict thus undoes the levels from
-    c up, not every level above b, and the decisions between b and c are
-    not made again.
+    keeps the trail's literals of that level or below, in their order, and
+    propagates them again from the cut, so their edges re-enter the engine.
+    An edge goes in when the last of its literals on the trail does, judged
+    by stamps from a counter that never goes back: trail order is stamp
+    order, so a kept literal keeps its stamp.  A conflict thus undoes the
+    levels from c up, not every level above b, and the decisions between b
+    and c are not made again.
 
     Every clause comes from a negative cycle and is short, two or three
     literals on the ladder, so watched literals would save nothing: each is
@@ -325,10 +326,10 @@ def solve(system: ConstraintSystem) -> SolveOutcome:
     value: list = [None] * len(literals)
     level = [0] * len(literals)
     reason: list = [None] * len(literals)  # the implying clause; None for decisions
-    position = [0] * len(literals)
+    stamp = [0] * len(literals)  # assignment order, never reused: trail order is stamp order
+    clock = itertools.count()
     trail: list = []
-    trail_lim: list = []  # trail length at each decision
-    edge_lim: list = []  # engine mark at each decision
+    levels: list = []  # (trail length, engine mark) at each decision
     occurs: list = [[] for _ in range(2 * len(literals))]  # literal code -> clauses holding it
     nodes = conflicts = 0
     bhead = thead = 0  # the next trail entries for unit_propagate and for theory
@@ -339,16 +340,16 @@ def solve(system: ConstraintSystem) -> SolveOutcome:
         value[i] = lit & 1
         level[i] = at
         reason[i] = why
-        position[i] = len(trail)
+        stamp[i] = next(clock)
         trail.append(lit)
 
     def theory(lit: int) -> tuple | None:
         """Add the edges ``lit`` completes; a negative cycle comes back as a false clause, already stored."""
-        here = position[lit >> 1]
+        here = stamp[lit >> 1]
         for edge in guarded[lit]:
             for g in edge[3]:
                 i = g >> 1
-                if value[i] != g & 1 or position[i] > here:
+                if value[i] != g & 1 or stamp[i] > here:
                     break  # not switched on yet, or the later literal adds it
             else:
                 cycle = engine.add(edge)
@@ -435,21 +436,17 @@ def solve(system: ConstraintSystem) -> SolveOutcome:
             learnt = analyze(conflict, top)
             back = max((level[lit >> 1] for lit in learnt[1:]), default=0)
             # back to level top - 1: the literals of lower levels above the
-            # cut stay, on a fresh stretch of trail that propagates again
-            cut = trail_lim[top - 1]
-            stay = []
-            for lit in trail[cut:]:
+            # cut stay, in their order and with their stamps, and propagate again
+            cut, mark = levels[top - 1]
+            undone = trail[cut:]
+            del trail[cut:], levels[top - 1 :]
+            engine.backtrack(mark)
+            for lit in undone:
                 if level[lit >> 1] < top:
-                    stay.append(lit)
+                    trail.append(lit)
                 else:
                     value[lit >> 1] = None
                     next_free = min(next_free, lit >> 1)
-            del trail[cut:], trail_lim[top - 1 :]
-            engine.backtrack(edge_lim[top - 1])
-            del edge_lim[top - 1 :]
-            for lit in stay:
-                position[lit >> 1] = len(trail)
-                trail.append(lit)
             bhead = thead = cut
             if set(learnt) != set(conflict):  # else the conflict is the clause, stored already
                 for lit in learnt:
@@ -461,9 +458,8 @@ def solve(system: ConstraintSystem) -> SolveOutcome:
         if next_free == len(literals):
             break
         nodes += 1
-        trail_lim.append(len(trail))
-        edge_lim.append(engine.mark())
-        assign(2 * next_free, len(trail_lim), None)
+        levels.append((len(trail), engine.mark()))
+        assign(2 * next_free, len(levels), None)
 
     greatest = engine.greatest(p)  # p is the zero vertex
     model = {v: greatest[v] for v in range(p)}

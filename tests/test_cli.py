@@ -270,6 +270,17 @@ def test_failed_oracle_model_check_prints_nothing(tmp_path, capsys, monkeypatch)
     assert out == ""
 
 
+def test_model_outside_the_domain_fails_without_normalize(tmp_path, capsys, monkeypatch):
+    # x = y = 10 satisfies x <= y mod 64, but B = 2 puts D at [0, 2] u [61, 63]
+    outside = SolveOutcome(True, {0: 10, 1: 10}, SearchStats("cdcl", 0))
+    monkeypatch.setattr(mdl, "solve", lambda system: outside)
+    path = write(tmp_path, "le.mdl", "mod 64\nx <= y\n")
+    code, out, err = run(capsys, "solve", path)
+    assert code == EXIT_INTERNAL
+    assert "bounded domain" in err
+    assert out == ""
+
+
 def test_usage_error_is_exit_1(capsys):
     code, _, err = run(capsys, "frobnicate")
     assert code == EXIT_USAGE

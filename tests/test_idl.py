@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_engine
-from conftest import time_limit
+from conftest import SEED_PHASES, time_limit
 from mdlsat.core import parse_system
 from mdlsat.idl import (
     DiffEngine,
@@ -148,7 +148,7 @@ def _greatest_at_most_zero(vertices, edges):
 
 
 @given(st.integers(min_value=0, max_value=10**9))
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, phases=SEED_PHASES)
 def test_engine_add_and_backtrack_keep_a_feasible_potential(seed):
     with time_limit(EXAMPLE_SECONDS):
         rng = random.Random(seed)
@@ -331,7 +331,7 @@ def test_a_negative_self_loop_is_a_cycle_of_itself_and_never_stored():
 
 
 @given(st.integers(min_value=0, max_value=10**9))
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, phases=SEED_PHASES)
 def test_engine_matches_the_reference_engine_around_a_busy_vertex(seed):
     # vertex 0 first gets 30-100 edges to and from vertices 1-5, so many of
     # them are parallel and any stop vertex is adjacent to it; random adds,
@@ -483,7 +483,7 @@ def _random_constraints(rng, max_vars=6, max_cons=10, span=5):
 
 
 @given(st.integers(min_value=0, max_value=10**9))
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, phases=SEED_PHASES)
 def test_outcomes_are_self_certifying(seed):
     with time_limit(EXAMPLE_SECONDS):
         constraints = _random_constraints(random.Random(seed))
@@ -512,7 +512,7 @@ def test_outcomes_are_self_certifying(seed):
 
 
 @given(st.integers(min_value=0, max_value=10**9))
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, phases=SEED_PHASES)
 def test_model_is_the_greatest_solution_at_most_zero(seed):
     # the model solve --relax prints
     with time_limit(EXAMPLE_SECONDS):

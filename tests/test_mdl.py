@@ -4,7 +4,7 @@ import random
 
 import pytest
 from cluster_packing import V_MAX, V_MIN, NotASolutionError, compute_clusters, left_pack_steps, normalize_solution
-from conftest import is_three_colorable, petersen, time_limit
+from conftest import SEED_PHASES, is_three_colorable, petersen, time_limit
 from hypothesis import given, settings, strategies as st
 
 from mdlsat.cli import gen_chain, gen_idl_paper, gen_random
@@ -275,7 +275,7 @@ def test_solve_duplicate_and_same_variable_constraints():
 
 
 @given(st.integers(min_value=0, max_value=10**9))
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, phases=SEED_PHASES)
 def test_solve_matches_oracle(seed):
     rng = random.Random(seed)
     p = rng.randint(1, 3)
@@ -360,14 +360,18 @@ def test_ladder_search_counts_at_two_to_the_32(graph, variant, sat, nodes, confl
     ids=["sat-p8-seed2198", "unsat-p3-seed66", "unsat-p8-seed186", "sat-planted-seed17852", "unsat-planted-seed30381"],
 )
 def test_kept_literals_take_fresh_trail_positions(build, sat, nodes, conflicts):
-    # a literal kept across a backtrack is re-appended to the trail; left
-    # with its old position, ``theory`` compares it against the positions of
-    # literals assigned after it and skips edges, and the search ends on a
-    # non-model that the re-check refuses; the gen_random seeds went wrong
-    # so while the engine ran ahead of unit propagation, and the planted
-    # seeds are two of the 7 among 0-59,999 that still do so with propagation
-    # first; ``test_every_switched_on_edge_is_live_at_each_decision``
-    # checks for the skip directly
+    # a literal kept across a backtrack is re-appended to the trail with the
+    # stamp of its assignment; ``theory`` adds an edge at the guard literal
+    # with the highest stamp, so stamps must follow trail order.  Stamped
+    # with its trail position instead (``len(trail)``), a kept literal
+    # keeps its old position, which can exceed the one a later literal takes
+    # on the shortened trail; ``theory`` then skips edges and the
+    # search ends on a non-model that the re-check refuses.  The gen_random
+    # seeds went wrong so while the engine ran ahead of unit propagation,
+    # and the planted seeds are two of the 7 among 0-59,999 that still do
+    # so with propagation first;
+    # ``test_every_switched_on_edge_is_live_at_each_decision`` checks for
+    # the skip directly
     out = solve(build())
     assert (out.sat, out.stats.nodes, out.stats.conflicts) == (sat, nodes, conflicts)
 
@@ -447,8 +451,9 @@ def test_no_negative_cycle_reaches_the_engine_twice(monkeypatch):
 
 
 def _skip_prone():
-    """Inputs on which ``theory`` skips an edge if a literal kept across a
-    backtrack keeps its old trail position: the ``gen_random`` seeds of
+    """Inputs on which ``theory`` skips an edge if literals are stamped with
+    their trail position, so that one kept across a backtrack keeps a
+    position that no longer follows trail order: the ``gen_random`` seeds of
     ``test_kept_literals_take_fresh_trail_positions``, found while the
     engine ran ahead of unit propagation, and three planted seeds on which
     the skip still happens with propagation first."""
@@ -512,7 +517,7 @@ def test_solve_matches_three_coloring_on_deeper_trails(seed, variant):
 
 
 @given(st.integers(min_value=0, max_value=10**9))
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, phases=SEED_PHASES)
 def test_solve_matches_oracle_when_terms_wrap(seed):
     # offsets near 0, near +N and near -N, so that reduced terms wrap
     rng = random.Random(seed)
@@ -561,8 +566,8 @@ def test_solve_matches_oracle_where_the_search_meets_conflicts():
     # these denser ones still reach conflict analysis, 424 conflicts in all
     # when this test was written, and the floor notices when they stop;
     # 726 and 2120 are the seeds whose search went wrong when a literal kept
-    # across a backtrack kept its old trail position and the engine still
-    # ran ahead of unit propagation
+    # across a backtrack kept a stale trail position as its stamp and the
+    # engine still ran ahead of unit propagation
     conflicts = unsat = 0
     for seed in (*range(200), 726, 2120):
         system = _planted_relations(seed)
