@@ -5,10 +5,9 @@ Each rung is a graph encoded by ``encode_3col`` at N = 2^32 in one variant.
 For each rung the script prints the verdict, the decisions, the conflicts,
 the static lemmas derived before the search, the calls ``solve`` made to
 ``DiffEngine.add`` and the negative cycles they returned, and the CPU
-seconds of the ``solve`` call.  The counts are deterministic, so a change
-to the search shows up as a change in them; the CPU time is as noisy as
-the host.  The engine counts come from a second ``solve`` with
-``DiffEngine.add`` wrapped, so the timed call runs the library as it is.
+seconds of the ``solve`` call.  Every count is read off the ``SearchStats``
+of that one call.  The counts are deterministic, so a change to the search
+shows up as a change in them; the CPU time is as noisy as the host.
 
 The default rungs are the ones the tests pin: K4 in both variants, the
 wheel W5 with its hub last, the cycle C5 and the Petersen graph in both
@@ -20,14 +19,12 @@ seconds each.
 """
 
 import argparse
-import contextlib
 import random
 import sys
 import time
 
 from coloring_pipeline import NAMED
 from mdlsat.core import Modulus, satisfies
-from mdlsat.idl import DiffEngine
 from mdlsat.mdl import solve
 from mdlsat.reductions import Graph, Variant, encode_3col
 
@@ -78,25 +75,6 @@ LARGE = [
 ]
 
 
-@contextlib.contextmanager
-def engine_counts():
-    """Count the calls of ``DiffEngine.add`` and the negative cycles they return."""
-    counts = {"adds": 0, "cycles": 0}
-    add = DiffEngine.add
-
-    def counted(engine, *args):
-        cycle = add(engine, *args)
-        counts["adds"] += 1
-        counts["cycles"] += cycle is not None
-        return cycle
-
-    DiffEngine.add = counted
-    try:
-        yield counts
-    finally:
-        DiffEngine.add = add
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--random", action="store_true", help="add the random G(n, m) rungs with n <= 60")
@@ -113,12 +91,10 @@ def main():
         if outcome.sat and not satisfies(system, outcome.model):
             print(f"{name} {variant.value}: the model fails re-evaluation", file=sys.stderr)
             return 2
-        with engine_counts() as counts:
-            solve(system)
+        stats = outcome.stats
         verdict = "SAT" if outcome.sat else "UNSAT"
-        print(f"{name:<12} {variant.value:<10} {verdict:<7} {outcome.stats.nodes:>9} "
-              f"{outcome.stats.conflicts:>9} {outcome.stats.lemmas:>7} {counts['adds']:>8} {counts['cycles']:>6} "
-              f"{cpu:>7.2f}")
+        print(f"{name:<12} {variant.value:<10} {verdict:<7} {stats.nodes:>9} {stats.conflicts:>9} "
+              f"{stats.lemmas:>7} {stats.adds:>8} {stats.cycles:>6} {cpu:>7.2f}")
     return 0
 
 

@@ -262,12 +262,19 @@ def _read_model_lines(text: str, system: ConstraintSystem):
 #: the modulus of each ``gen`` kind without --mod; chain has none
 _GEN_MOD = {"intro1": 16, "idl-paper": 10, "random": 12}
 
+#: The most lines or variables ``gen`` writes.  A chain's N lines and a random
+#: system's variables are all built in memory before anything is written.
+MAX_GEN_SIZE = 1_000_000
+
 
 def cmd_gen(args) -> int:
     mod = _GEN_MOD.get(args.kind) if args.mod is None else args.mod
     if mod is None:
         raise _UsageError("gen chain requires --mod")
     n = Modulus(mod).n
+    size = {"chain": n, "random": max(args.vars, args.cons)}.get(args.kind, 0)
+    if size > MAX_GEN_SIZE:
+        raise _UsageError(f"gen {args.kind} would write {size} lines or variables, over the limit of {MAX_GEN_SIZE}")
     if args.kind == "intro1":
         text = gen_intro1(n)
     elif args.kind == "chain":

@@ -118,7 +118,8 @@ class DiffEngine:
     moves vertices down or up, and ``backtrack`` leaves pi where it is: pi
     is feasible, and nothing more.  The greatest solutions are read off with
     ``greatest``.  Vertices are hashable, and the ones a search meets must
-    also order against each other, as ints do.
+    also order against each other, as ints do.  ``adds`` counts the calls of
+    ``add`` and ``cycles`` the ones that returned a negative cycle.
     """
 
     def __init__(self):
@@ -129,6 +130,7 @@ class DiffEngine:
         self._into: defaultdict = defaultdict(list)
         self._out: defaultdict = defaultdict(list)
         self._trail: list = []
+        self.adds = self.cycles = 0
 
     def mark(self) -> int:
         """A point on the edge stack to ``backtrack`` to later."""
@@ -171,12 +173,14 @@ class DiffEngine:
         """
         x, y, k, _ = edge
         pi = self.pi
+        self.adds += 1
         if y not in pi:
             pi[y] = pi[x] - k if x in pi else 0
         elif x not in pi:
             pi[x] = pi[y] + k
         drop = pi[y] + k - pi.setdefault(x, 0)
         if x == y:
+            self.cycles += k < 0
             return (edge,) if k < 0 else None
         if drop < 0:
             # the side the race steps first: each is charged its root's edges
@@ -215,6 +219,7 @@ class DiffEngine:
                     v = path[-1][near]  # the end the edge was followed from
                 if sign < 0:
                     path.reverse()  # it was found from y back to x
+                self.cycles += 1
                 return (edge, *path)
             for v, d in dist.items():
                 pi[v] += sign * d

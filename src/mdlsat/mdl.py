@@ -52,12 +52,16 @@ class SelfCheckError(MdlError):
 
 class SearchStats(NamedTuple):
     """``nodes`` counts assignments tried by enumeration and decisions by CDCL;
-    ``lemmas`` counts the clauses CDCL derives before its search."""
+    ``lemmas`` counts the clauses CDCL derives before its search, ``adds``
+    its calls of ``DiffEngine.add`` and ``cycles`` the negative cycles they
+    returned.  Enumeration leaves every count but ``nodes`` at 0."""
 
     method: str
     nodes: int
     conflicts: int = 0
     lemmas: int = 0
+    adds: int = 0
+    cycles: int = 0
 
 
 class SolveOutcome(NamedTuple):
@@ -320,7 +324,7 @@ def solve(system: ConstraintSystem) -> SolveOutcome:
     engine = DiffEngine()
     for edge in unguarded:
         if engine.add(edge) is not None:
-            return SolveOutcome(False, None, SearchStats("cdcl", 0, 1))
+            return SolveOutcome(False, None, SearchStats("cdcl", 0, 1, 0, engine.adds, engine.cycles))
 
     # indexed by literal i; the trail and clauses hold codes 2*i + value
     value: list = [None] * len(literals)
@@ -432,7 +436,8 @@ def solve(system: ConstraintSystem) -> SolveOutcome:
             conflicts += 1
             top = max(level[lit >> 1] for lit in conflict)
             if top == 0:
-                return SolveOutcome(False, None, SearchStats("cdcl", nodes, conflicts, len(lemmas)))
+                stats = SearchStats("cdcl", nodes, conflicts, len(lemmas), engine.adds, engine.cycles)
+                return SolveOutcome(False, None, stats)
             learnt = analyze(conflict, top)
             back = max((level[lit >> 1] for lit in learnt[1:]), default=0)
             # back to level top - 1: the literals of lower levels above the
@@ -465,4 +470,4 @@ def solve(system: ConstraintSystem) -> SolveOutcome:
     model = {v: greatest[v] for v in range(p)}
     if eval_system(system, model) is not None:
         raise SelfCheckError("internal error: search produced a non-model")
-    return SolveOutcome(True, model, SearchStats("cdcl", nodes, conflicts, len(lemmas)))
+    return SolveOutcome(True, model, SearchStats("cdcl", nodes, conflicts, len(lemmas), engine.adds, engine.cycles))

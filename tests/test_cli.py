@@ -10,7 +10,7 @@ import pytest
 from conftest import is_three_colorable, time_limit
 from hypothesis import given, settings, strategies as st
 
-from mdlsat import idl, mdl
+from mdlsat import cli, idl, mdl
 from mdlsat.cli import (
     EXIT_INTERNAL,
     EXIT_OK,
@@ -528,6 +528,19 @@ def test_gen_random_rejects_impossible_arguments(capsys, bad):
     code, out, err = run(capsys, "gen", "random", *bad)
     assert code == EXIT_USAGE
     assert err.startswith("error: ")
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "kind, flag", [("chain", "--mod"), ("random", "--vars"), ("random", "--cons")], ids=["chain", "vars", "cons"]
+)
+def test_gen_refuses_more_lines_or_variables_than_its_cap(capsys, monkeypatch, kind, flag):
+    # a small cap stands in for the real one, so nothing large is built
+    monkeypatch.setattr(cli, "MAX_GEN_SIZE", 8)
+    assert run(capsys, "gen", kind, flag, "8")[0] == EXIT_OK
+    code, out, err = run(capsys, "gen", kind, flag, "9")
+    assert code == EXIT_USAGE
+    assert err == f"error: gen {kind} would write 9 lines or variables, over the limit of 8\n"
     assert out == ""
 
 

@@ -102,7 +102,7 @@ def test_cmp_mod_matches_reduced_comparison(i, j, n):
         assert _holds_one(Constraint(Term(0, i), rel, j), {0: 0}, n) == expected
 
 
-def test_eval_term_examples():
+def test_eval_system_term_examples():
     assert _holds_one(Constraint(Term(0, 1), Relation.EQ, 0), {0: 9}, 10)
     assert _holds_one(Constraint(Term(0, 0), Relation.EQ, 5), {0: 5}, 10)
     assert _holds_one(Constraint(Term(0, -1), Relation.EQ, 9), {0: 0}, 10)
@@ -110,7 +110,7 @@ def test_eval_term_examples():
         _holds_one(Constraint(Term(0), Relation.LE, Term(1, 0)), {0: 5}, 10)
 
 
-def test_eval_constraint_examples():
+def test_eval_system_constraint_examples():
     c = Constraint(Term(0), Relation.LE, Term(1, 5))
     assert not _holds_one(c, {0: 9, 1: 5}, 10)
     c = Constraint(Term(0), Relation.LE, Term(1, -1))
@@ -119,7 +119,7 @@ def test_eval_constraint_examples():
     assert _holds_one(c, {0: 7}, 12)
 
 
-def test_eval_constraint_normalizes_ge_gt_by_comparison():
+def test_eval_system_reads_ge_gt_by_comparison():
     ge = Constraint(Term(0), Relation.GE, Term(1))
     gt = Constraint(Term(0), Relation.GT, Term(1))
     assert _holds_one(ge, {0: 5, 1: 5}, 10)

@@ -156,6 +156,7 @@ def test_engine_add_and_backtrack_keep_a_feasible_potential(seed):
         live = []  # (engine mark before the add, step)
         marks = [engine.mark()]
         added = {}  # step -> the edge added then, its origin the step
+        adds = cycles = 0  # what engine.adds and engine.cycles must read; a backtrack keeps them
         for step in range(rng.randint(1, 60)):
             if live and rng.random() < 0.2:
                 mark = rng.choice([m for m in marks if m <= engine.mark()])
@@ -166,6 +167,7 @@ def test_engine_add_and_backtrack_keep_a_feasible_potential(seed):
                 added[step] = new
                 before = engine.mark()
                 cycle = engine.add(new)
+                adds, cycles = adds + 1, cycles + (cycle is not None)
                 if cycle is None:
                     live.append((before, step))
                 else:
@@ -178,6 +180,7 @@ def test_engine_add_and_backtrack_keep_a_feasible_potential(seed):
                     assert len(set(starts)) == len(starts)
                     assert engine.mark() == before
                 marks.append(engine.mark())
+            assert (engine.adds, engine.cycles) == (adds, cycles)
             edges = [added[r] for _, r in live]
             pi = engine.pi
             assert all(pi.get(e.x, 0) - pi.get(e.y, 0) <= e.k for e in edges)
@@ -328,6 +331,7 @@ def test_a_negative_self_loop_is_a_cycle_of_itself_and_never_stored():
     assert cycle == (loop,) and cycle[0] is loop
     assert engine.add(vacuous) is None
     assert engine.mark() == 0 and engine.pi == {7: 0, 8: 0}
+    assert (engine.adds, engine.cycles) == (2, 1)  # both calls count, and the one cycle
 
 
 @given(st.integers(min_value=0, max_value=10**9))

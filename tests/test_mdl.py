@@ -213,19 +213,21 @@ def test_wrap_theory_matches_the_two_pass_encoding():
 )
 def test_solve_meets_contradicting_unit_lemmas_as_a_level_zero_conflict(text):
     # the lemmas are the units "x + 1 wraps" and "x + 1 does not wrap", in
-    # either order; propagating the first meets the second as a conflict
+    # either order; propagating the first meets the second as a conflict,
+    # after the engine took x's two range bounds and before it took more
     system = parse_system(text)
     assert sorted(_wrap_theory(system)[3]) == [(0,), (1,)]
-    assert solve(system).stats == ("cdcl", 0, 1, 2)
+    assert solve(system).stats == ("cdcl", 0, 1, 2, 2, 0)
 
 
 @pytest.mark.parametrize("text", ["mod 8\nx < 0\n", "mod 2\nx > 1\n"])
 def test_solve_refuses_a_negative_cycle_of_unguarded_edges_before_the_lemmas(text):
     # the lemma pass gives the empty clause here, but ``solve`` adds the
-    # unguarded edges first and stops at their cycle, with no lemma counted
+    # unguarded edges first and stops at their cycle, with no lemma counted:
+    # the third of its three adds closes the one cycle
     system = parse_system(text)
     assert () in _wrap_theory(system)[3]
-    assert solve(system) == (False, None, ("cdcl", 0, 1, 0))
+    assert solve(system) == (False, None, ("cdcl", 0, 1, 0, 3, 1))
 
 
 # --- complete solver --------------------------------------------------------
@@ -330,22 +332,24 @@ def _wheel5():
 
 
 @pytest.mark.parametrize(
-    "graph, variant, sat, nodes, conflicts",
+    "graph, variant, sat, nodes, conflicts, engine",
     [
-        (Graph.complete(4), Variant.STRICT, False, 8, 9),
-        (_wheel5(), Variant.NONSTRICT, False, 12, 13),
-        (Graph.cycle(5), Variant.NONSTRICT, True, 15, 5),
-        (petersen(), Variant.NONSTRICT, True, 32, 10),
-        (petersen(), Variant.STRICT, True, 32, 10),
+        (Graph.complete(4), Variant.STRICT, False, 8, 9, (253, 4)),
+        (_wheel5(), Variant.NONSTRICT, False, 12, 13, (350, 6)),
+        (Graph.cycle(5), Variant.NONSTRICT, True, 15, 5, (220, 5)),
+        (petersen(), Variant.NONSTRICT, True, 32, 10, (590, 10)),
+        (petersen(), Variant.STRICT, True, 32, 10, (635, 10)),
     ],
     ids=["k4-strict", "w5-nonstrict", "c5-nonstrict", "petersen-nonstrict", "petersen-strict"],
 )
-def test_ladder_search_counts_at_two_to_the_32(graph, variant, sat, nodes, conflicts):
-    # the search is deterministic, so a refactor that keeps it keeps these counts
+def test_ladder_search_counts_at_two_to_the_32(graph, variant, sat, nodes, conflicts, engine):
+    # the search is deterministic, so a refactor that keeps it keeps these
+    # counts; ``engine`` is the engine's adds and the negative cycles they returned
     system, _ = encode_3col(graph, Modulus(2**32), variant)
     with time_limit(2.0):
         out = solve(system)
     assert (out.sat, out.stats.nodes, out.stats.conflicts) == (sat, nodes, conflicts)
+    assert (out.stats.adds, out.stats.cycles) == engine
 
 
 @pytest.mark.parametrize(
@@ -359,7 +363,7 @@ def test_ladder_search_counts_at_two_to_the_32(graph, variant, sat, nodes, confl
     ],
     ids=["sat-p8-seed2198", "unsat-p3-seed66", "unsat-p8-seed186", "sat-planted-seed17852", "unsat-planted-seed30381"],
 )
-def test_kept_literals_take_fresh_trail_positions(build, sat, nodes, conflicts):
+def test_kept_literals_keep_their_stamps(build, sat, nodes, conflicts):
     # a literal kept across a backtrack is re-appended to the trail with the
     # stamp of its assignment; ``theory`` adds an edge at the guard literal
     # with the highest stamp, so stamps must follow trail order.  Stamped
@@ -454,7 +458,7 @@ def _skip_prone():
     """Inputs on which ``theory`` skips an edge if literals are stamped with
     their trail position, so that one kept across a backtrack keeps a
     position that no longer follows trail order: the ``gen_random`` seeds of
-    ``test_kept_literals_take_fresh_trail_positions``, found while the
+    ``test_kept_literals_keep_their_stamps``, found while the
     engine ran ahead of unit propagation, and three planted seeds on which
     the skip still happens with propagation first."""
     for args in [(8, 8, 100, 64, 2198), (3, 6, 100, 64, 66), (8, 8, 20, 16, 186)]:

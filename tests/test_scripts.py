@@ -13,11 +13,17 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [["gap_demo.py"], ["coloring_pipeline.py", "k4"], ["oracle_sweep.py", "--instances", "40"], ["search_counts.py"]],
+    "argv, row",
+    [
+        (["gap_demo.py"], None),
+        (["coloring_pipeline.py", "k4"], None),
+        (["oracle_sweep.py", "--instances", "40"], None),
+        # K4 nonstrict: verdict, decisions, conflicts, lemmas, engine adds and cycles
+        (["search_counts.py"], "K4 nonstrict UNSAT 8 9 72 238 4"),
+    ],
     ids=["gap_demo", "coloring_pipeline", "oracle_sweep", "search_counts"],
 )
-def test_script_runs(argv):
+def test_script_runs(argv, row):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
@@ -27,6 +33,8 @@ def test_script_runs(argv):
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
+    if row is not None:  # the printed row, without its CPU time
+        assert row.split() in [line.split()[:-1] for line in done.stdout.splitlines()], done.stdout
 
 
 def _compare(new_root, *files):
