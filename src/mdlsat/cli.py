@@ -2,10 +2,12 @@
 
 Decision runs exit 10 (SAT) or 20 (UNSAT); other commands exit 0 on
 success.  Usage and parse problems exit 1; a failed internal re-check of a
-produced answer exits 2 with nothing on stdout.  Reports go to stdout as
-``key = value`` lines (model lines are plain ``name = value``), wall-clock
-timing goes to stderr so stdout stays byte-stable for fixed inputs and
-seeds.
+produced answer, or a model file given to ``decode`` that does not satisfy
+the encoding, exits 2 with nothing on stdout.  Each command returns its
+whole report, and ``main`` writes it to stdout once the command has
+finished.  Reports are ``key = value`` lines (model lines are plain
+``name = value``), wall-clock timing goes to stderr so stdout stays
+byte-stable for fixed inputs and seeds.
 """
 
 from __future__ import annotations
@@ -107,23 +109,25 @@ def gen_random(num_vars: int, num_constraints: int, max_offset: int, n: int, see
 # --- report plumbing --------------------------------------------------------
 
 
-def _emit(key: str, value) -> None:
-    print(f"{key} = {value}")
+def _model_lines(system: ConstraintSystem, model) -> list:
+    """The ``name = value`` lines of a model, sorted by name."""
+    return [f"{name} = {_decimal(model[system.symbols.id_of(name)])}" for name in sorted(system.symbols.names)]
 
 
-def _emit_model_residues(system: ConstraintSystem, model) -> None:
-    for name in sorted(system.symbols.names):
-        _emit(name, model[system.symbols.id_of(name)])
+def _decimal(value: int) -> str:
+    try:
+        return str(value)
+    except ValueError:  # beyond the interpreter's int-to-string limit, which the parser relies on
+        raise MdlError(f"an integer-relaxation figure has more than {sys.get_int_max_str_digits()} digits") from None
 
 
 # --- subcommands ------------------------------------------------------------
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args) -> tuple[int, str]:
     with open(args.file, encoding="utf-8") as handle:
         system = parse_system(handle.read())
     started = time.monotonic()
-    # decide and re-check before emitting, so a refused run leaves stdout empty
     if args.oracle:
         outcome = mdl.brute_force_sat(system, budget=args.budget)
     else:
@@ -140,26 +144,27 @@ def cmd_solve(args) -> int:
     # paper's bound.  Every SAT model is checked; --normalize only says so.
     if outcome.sat and not all(v in domain for v in model.values()):
         raise mdl.SelfCheckError("internal error: model lies outside the bounded domain")
-    relaxation = _relaxation_report(system) if args.relax else []
-    _emit("instance", args.file)
-    _emit("modulus", system.modulus.n)
-    _emit("variables", system.num_vars)
-    _emit("constraints", len(system.constraints))
-    _emit("semantics", "modular")
-    _emit("method", outcome.stats.method)
-    _emit("verdict", "SAT" if outcome.sat else "UNSAT")
-    _emit("nodes", outcome.stats.nodes)
+    report = [
+        f"instance = {args.file}",
+        f"modulus = {system.modulus.n}",
+        f"variables = {system.num_vars}",
+        f"constraints = {len(system.constraints)}",
+        "semantics = modular",
+        f"method = {outcome.stats.method}",
+        f"verdict = {'SAT' if outcome.sat else 'UNSAT'}",
+        f"nodes = {outcome.stats.nodes}",
+    ]
     if not args.oracle:
-        _emit("conflicts", outcome.stats.conflicts)
-        _emit("domain-size", domain.size)
+        report.append(f"conflicts = {outcome.stats.conflicts}")
+        report.append(f"domain-size = {domain.size}")
     if outcome.sat:
         if args.normalize:
-            _emit("normalized", "yes")
-        _emit_model_residues(system, model)
-    for line in relaxation:
-        print(line)
+            report.append("normalized = yes")
+        report += _model_lines(system, model)
+    if args.relax:
+        report += _relaxation_report(system)
     print(f"time-ms = {int((time.monotonic() - started) * 1000)}", file=sys.stderr)
-    return EXIT_SAT if outcome.sat else EXIT_UNSAT
+    return EXIT_SAT if outcome.sat else EXIT_UNSAT, "".join(f"{line}\n" for line in report)
 
 
 def _relaxation_report(system: ConstraintSystem) -> list:
@@ -168,16 +173,13 @@ def _relaxation_report(system: ConstraintSystem) -> list:
     outcome = idl.solve_idl(relaxation.constraints)
     lines = ["semantics = integer-relaxation", f"verdict = {'SAT' if outcome.sat else 'UNSAT'}"]
     if outcome.sat:
-        model = dict(outcome.model)
+        model = outcome.model
         if relaxation.zero_var is not None:
             shift = model[relaxation.zero_var]
             model = {v: value - shift for v, value in model.items()}
         if not idl.check_idl_model(relaxation.constraints, model):
             raise mdl.SelfCheckError("internal error: relaxation model fails re-evaluation")
-        for name in sorted(system.symbols.names):
-            vid = system.symbols.id_of(name)
-            if vid in model:
-                lines.append(f"{name} = {_decimal(model[vid])}")
+        lines += _model_lines(system, model)
     else:
         cycle = outcome.cycle
         if not idl.check_idl_cycle(cycle):
@@ -187,14 +189,7 @@ def _relaxation_report(system: ConstraintSystem) -> list:
     return lines
 
 
-def _decimal(value: int) -> str:
-    try:
-        return str(value)
-    except ValueError:  # beyond the interpreter's int-to-string limit, which the parser relies on
-        raise MdlError(f"an integer-relaxation figure has more than {sys.get_int_max_str_digits()} digits") from None
-
-
-def cmd_reduce(args) -> int:
+def cmd_reduce(args) -> tuple[int, str]:
     with open(args.graph, encoding="utf-8") as handle:
         graph = reductions.parse_dimacs_graph(handle.read())
     variant, modulus = reductions.Variant(args.variant), Modulus(args.mod)
@@ -205,12 +200,11 @@ def cmd_reduce(args) -> int:
         handle.write(render_system(system))
     with open(meta_path, "w", encoding="utf-8") as handle:
         handle.write(reductions.render_meta(graph, variant, modulus))
-    print(f"wrote {mdl_path} ({system.num_vars} variables, {len(system.constraints)} constraints)")
-    print(f"wrote {meta_path}")
-    return EXIT_OK
+    report = f"wrote {mdl_path} ({system.num_vars} variables, {len(system.constraints)} constraints)\n"
+    return EXIT_OK, report + f"wrote {meta_path}\n"
 
 
-def cmd_decode(args) -> int:
+def cmd_decode(args) -> tuple[int, str]:
     with open(args.meta, encoding="utf-8") as handle:
         graph, variant, modulus = reductions.parse_meta(handle.read())
     system, meta = reductions.encode_3col(graph, modulus, variant)
@@ -218,13 +212,11 @@ def cmd_decode(args) -> int:
         assignment = _read_model_lines(handle.read(), system)
     if not satisfies(system, assignment):
         print("model does not satisfy the encoded system", file=sys.stderr)
-        return EXIT_INTERNAL
+        return EXIT_INTERNAL, ""
     coloring = reductions.decode_coloring(meta, assignment)
     if not reductions.verify_coloring(graph, coloring):
         raise mdl.SelfCheckError("internal error: decoded coloring is not proper")
-    for v in range(graph.n):
-        print(f"color {v} {coloring[v]}")
-    return EXIT_OK
+    return EXIT_OK, "".join(f"color {v} {coloring[v]}\n" for v in range(graph.n))
 
 
 def _read_model_lines(text: str, system: ConstraintSystem):
@@ -267,7 +259,7 @@ _GEN_MOD = {"intro1": 16, "idl-paper": 10, "random": 12}
 MAX_GEN_SIZE = 1_000_000
 
 
-def cmd_gen(args) -> int:
+def cmd_gen(args) -> tuple[int, str]:
     mod = _GEN_MOD.get(args.kind) if args.mod is None else args.mod
     if mod is None:
         raise _UsageError("gen chain requires --mod")
@@ -285,13 +277,11 @@ def cmd_gen(args) -> int:
         if args.vars < 1 or args.cons < 0 or args.m < 0:
             raise _UsageError("gen random needs --vars >= 1, --cons >= 0 and --m >= 0")
         text = gen_random(args.vars, args.cons, args.m, n, args.seed)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+    if not args.out:
+        return EXIT_OK, text
+    with open(args.out, "w", encoding="utf-8") as handle:
+        handle.write(text)
+    return EXIT_OK, f"wrote {args.out}\n"
 
 
 # --- argument wiring --------------------------------------------------------
@@ -338,7 +328,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code, report = args.func(args)
+        sys.stdout.write(report)
+        return code
     except mdl.SelfCheckError as err:  # an MdlError, so it goes first
         print(err, file=sys.stderr)
         return EXIT_INTERNAL

@@ -302,9 +302,11 @@ def test_reduce_writes_instance_and_meta(tmp_path, capsys):
 
 def test_reduce_modulus_too_small(tmp_path, capsys):
     graph_path = write(tmp_path, "k3.col", render_dimacs_graph(Graph.complete(3)))
-    code, _, err = run(capsys, "reduce", graph_path, "--variant", "strict", "--mod", "8", "--out", str(tmp_path / "x"))
+    argv = ("--variant", "strict", "--mod", "8", "--out", str(tmp_path / "x"))
+    code, out, err = run(capsys, "reduce", graph_path, *argv)
     assert code == EXIT_USAGE
     assert "modulus" in err
+    assert out == ""
 
 
 def test_reduce_empty_graph(tmp_path, capsys):
@@ -374,9 +376,10 @@ def test_decode_rejects_non_model(tmp_path, capsys):
     system = parse_system((tmp_path / "k3.mdl").read_text())
     bogus = "\n".join(f"{name} = 0" for name in system.symbols.names) + "\n"
     model_path = write(tmp_path, "bogus.txt", bogus)
-    code, _, err = run(capsys, "decode", prefix + ".meta", model_path)
+    code, out, err = run(capsys, "decode", prefix + ".meta", model_path)
     assert code == EXIT_INTERNAL
     assert "does not satisfy" in err
+    assert out == ""
 
 
 @pytest.mark.parametrize("variant", ["nonstrict", "strict"])
@@ -405,9 +408,10 @@ def test_decode_incomplete_model(tmp_path, capsys):
     prefix = str(tmp_path / "k3")
     run(capsys, "reduce", graph_path, "--mod", "16", "--out", prefix)
     model_path = write(tmp_path, "short.txt", "v0_c0 = 15\n")
-    code, _, err = run(capsys, "decode", prefix + ".meta", model_path)
+    code, out, err = run(capsys, "decode", prefix + ".meta", model_path)
     assert code == EXIT_USAGE
     assert "lacks values" in err
+    assert out == ""
 
 
 _META = "c variant nonstrict mod 16\np edge 2 1\ne 1 2\n"
@@ -505,8 +509,9 @@ def test_gen_to_stdout_and_file(tmp_path, capsys):
 
 
 def test_gen_chain_requires_mod(capsys):
-    code, _, err = run(capsys, "gen", "chain")
+    code, out, _ = run(capsys, "gen", "chain")
     assert code == EXIT_USAGE
+    assert out == ""
 
 
 @pytest.mark.parametrize("kind", ["intro1", "idl-paper", "chain", "random"])
@@ -708,3 +713,75 @@ def test_fuzz_decode(meta_text, real_model):
         coloring = {int(v): int(c) for _, v, c in (line.split() for line in out.splitlines())}
         graph, _, _ = parse_meta(meta_text)
         assert verify_coloring(graph, coloring)
+
+
+# --- recorded reports -----------------------------------------------------------
+
+#: each ``gen`` kind's arguments, its stdout, and the exit code and stdout
+#: pieces of ``solve`` on that file: the header, the search report's figures
+#: and model, the same two for --oracle, and the --relax section
+_RECORDED = {
+    "intro1": (
+        (),
+        "mod 16\nx >= 0\nx + 1 <= 0\n",
+        EXIT_SAT,
+        "instance = intro1.mdl\nmodulus = 16\nvariables = 1\nconstraints = 2\nsemantics = modular\n",
+        ("method = cdcl\nverdict = SAT\nnodes = 0\nconflicts = 0\ndomain-size = 8\n", "x = 15\n"),
+        ("method = enumeration\nverdict = SAT\nnodes = 16\n", "x = 15\n"),
+        "semantics = integer-relaxation\nverdict = UNSAT\ncycle-length = 2\ncycle-weight = -1\n"
+        "core: x + 1 <= 0\ncore: x >= 0\n",
+    ),
+    "chain": (
+        ("--mod", "5"),
+        "mod 5\nx0 < x1\nx1 < x2\nx2 < x3\nx3 < x4\nx4 < x5\n",
+        EXIT_UNSAT,
+        "instance = chain.mdl\nmodulus = 5\nvariables = 6\nconstraints = 5\nsemantics = modular\n",
+        ("method = cdcl\nverdict = UNSAT\nnodes = 0\nconflicts = 1\ndomain-size = 5\n", ""),
+        ("method = enumeration\nverdict = UNSAT\nnodes = 15625\n", ""),
+        "semantics = integer-relaxation\nverdict = SAT\nx0 = -5\nx1 = -4\nx2 = -3\nx3 = -2\nx4 = -1\nx5 = 0\n",
+    ),
+    "idl-paper": (
+        (),
+        "mod 10\nx1 + 3 <= x2\nx2 <= x3 + 1\nx3 + 2 <= x4\nx4 <= x1 + 3\n",
+        EXIT_SAT,
+        "instance = idl-paper.mdl\nmodulus = 10\nvariables = 4\nconstraints = 4\nsemantics = modular\n",
+        ("method = cdcl\nverdict = SAT\nnodes = 3\nconflicts = 1\ndomain-size = 10\n",
+         "x1 = 6\nx2 = 9\nx3 = 8\nx4 = 9\n"),
+        ("method = enumeration\nverdict = SAT\nnodes = 381\n", "x1 = 0\nx2 = 3\nx3 = 8\nx4 = 0\n"),
+        "semantics = integer-relaxation\nverdict = UNSAT\ncycle-length = 4\ncycle-weight = -1\n"
+        "core: x1 + 3 <= x2\ncore: x2 <= x3 + 1\ncore: x3 + 2 <= x4\ncore: x4 <= x1 + 3\n",
+    ),
+    "random": (
+        ("--vars", "3", "--cons", "5", "--m", "2", "--seed", "3"),
+        "mod 12\nx2 <= 2\nx1 + 2 = x1 + 2\nx2 - 2 < x1\nx0 <= 1\nx1 = -1\n",
+        EXIT_SAT,
+        "instance = random.mdl\nmodulus = 12\nvariables = 3\nconstraints = 5\nsemantics = modular\n",
+        ("method = cdcl\nverdict = SAT\nnodes = 1\nconflicts = 0\ndomain-size = 12\n", "x0 = 1\nx1 = 11\nx2 = 0\n"),
+        ("method = enumeration\nverdict = SAT\nnodes = 133\n", "x0 = 0\nx1 = 11\nx2 = 0\n"),
+        "semantics = integer-relaxation\nverdict = SAT\nx0 = 0\nx1 = -1\nx2 = 0\n",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "flags", _SOLVE_FLAGS + [("--oracle", "--relax")], ids=lambda flags: "+".join(flags).replace("--", "") or "plain"
+)
+@pytest.mark.parametrize("kind", list(_RECORDED))
+def test_reports_keep_their_recorded_bytes(tmp_path, monkeypatch, capsys, kind, flags):
+    monkeypatch.chdir(tmp_path)  # the instance line then names the file as given, with no directory
+    gen_args, text, code, header, search, oracle, relaxation = _RECORDED[kind]
+    assert run(capsys, "gen", kind, *gen_args) == (EXIT_OK, text, "")
+    Path(f"{kind}.mdl").write_text(text)
+    figures, model = oracle if "--oracle" in flags else search
+    normalized = "normalized = yes\n" if "--normalize" in flags and model else ""
+    expected = header + figures + normalized + model + (relaxation if "--relax" in flags else "")
+    assert run(capsys, "solve", f"{kind}.mdl", *flags)[:2] == (code, expected)
+
+
+def test_reduce_and_decode_keep_their_recorded_bytes(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("k3.col").write_text(render_dimacs_graph(Graph.complete(3)))
+    code, out, _ = run(capsys, "reduce", "k3.col", "--mod", "16", "--out", "k3")
+    assert (code, out) == (EXIT_OK, "wrote k3.mdl (27 variables, 36 constraints)\nwrote k3.meta\n")
+    Path("k3.model").write_text(run(capsys, "solve", "k3.mdl")[1])
+    assert run(capsys, "decode", "k3.meta", "k3.model") == (EXIT_OK, "color 0 2\ncolor 1 1\ncolor 2 0\n", "")

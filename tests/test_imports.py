@@ -1,6 +1,7 @@
 """Every name a module of ``src/mdlsat`` or a script of ``scripts/`` imports
-is used in that module or script, every function the benchmark's tracer
-wraps exists, and importing the CLI stays cheap.
+is used in that module or script, only the CLI's ``main`` writes stdout,
+every function the benchmark's tracer wraps exists, and importing the CLI
+stays cheap.
 
 No linter ships with the project, so this walks each file's syntax tree
 with the standard ``ast`` module.  ``__init__.py`` imports to re-export, and
@@ -41,6 +42,41 @@ def test_no_unused_imports(path):
 def test_the_check_sees_an_unused_name():
     source = "from typing import NamedTuple, Optional\nimport os.path\nx: Optional[int] = None\n"
     assert unused_imports(source) == [(1, "NamedTuple"), (2, "os")]
+
+
+def stdout_writers(source: str) -> list:
+    """The function around each ``sys.stdout.write`` call and each ``print``
+    without ``file=`` in ``source``, in order; ``None`` at module level."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                callee = ast.unparse(child.func)
+                if callee == "sys.stdout.write" or callee == "print" and all(k.arg != "file" for k in child.keywords):
+                    found.append(where)
+            visit(child, where)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_only_main_writes_stdout():
+    """A command returns its report and ``main`` writes it once the command
+    has returned, so a run that raises leaves stdout empty."""
+    assert stdout_writers((ROOT / "src" / "mdlsat" / "cli.py").read_text()) == ["main"]
+
+
+def test_the_check_sees_every_stdout_writer():
+    source = (
+        "import sys\nprint('top')\n"
+        "def f():\n    print('x', file=sys.stderr)\n    sys.stdout.write('y')\n"
+        "    def g():\n        print('z')\n"
+    )
+    assert stdout_writers(source) == [None, "f", "g"]
 
 
 #: functions deleted from ``src/`` that ``bench/spans.py`` still wraps; the
