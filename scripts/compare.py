@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Check that two mdlsat trees give the same results in both readings, then time them.
 
-    compare.py OLD_ROOT NEW_ROOT [FILE ...] [--pairs P] [--random]
+    compare.py OLD_ROOT NEW_ROOT [FILE ...] [--pairs P] [--random] [--verdicts]
 
 Each ROOT is a checkout whose ``src/mdlsat`` is imported under a package
 name of its own, so both trees run in this one process.
@@ -23,7 +23,10 @@ such as ``idl.ORIENTED``, is reported where the relaxation differs.  The
 modular search goes second, on the rungs of ``search_counts.py``
 (``--random`` adds its random rungs), each encoded by each tree's own
 ``encode_3col``: verdict, decisions, conflicts, static lemmas and model
-must be equal.
+must be equal.  With ``--verdicts`` only the verdicts must be equal, and
+each tree's SAT model must satisfy its tree's system by its tree's
+``satisfies``; so a change that moves the search can still be timed, and
+a count that differs is printed as OLD/NEW.
 
 At the first difference the script names the file or rung, the part and
 its first differing item in both trees, and exits 1.  Otherwise it makes P
@@ -157,11 +160,14 @@ def check_front(trees, pairs: int, files=()) -> bool:
     return True
 
 
-def check_search(trees, pairs: int, rungs) -> bool:
-    """Print the search table; False at the first rung where the trees differ."""
+def check_search(trees, pairs: int, rungs, verdicts: bool = False) -> bool:
+    """Print the search table; False at the first rung where the trees
+    differ, or with ``verdicts`` where their verdicts differ or a SAT model
+    fails its tree's ``satisfies``."""
     print(f"{'graph':<12} {'variant':<10} {'verdict':<7} {'decisions':>9} {'conflicts':>9} {'lemmas':>6} "
           f"{'old_ms':>8} {'new_ms':>8} {'ratio':>6} {'won':>7}")
     for name, build, variant in rungs:
+        rung = f"{name} {variant.value}"
         graph = build()
         systems = [
             t.reductions.encode_3col(t.reductions.Graph(graph.n, graph.edges), t.core.Modulus(N),
@@ -169,17 +175,28 @@ def check_search(trees, pairs: int, rungs) -> bool:
             for t in trees
         ]
         outcomes = [t.mdl.solve(s) for t, s in zip(trees, systems)]
-        old, new = [
-            {"verdict, decisions, conflicts and lemmas": (o.sat, o.stats.nodes, o.stats.conflicts, o.stats.lemmas),
-             "model": _model(o.model)}
-            for o in outcomes
-        ]
-        if differ(f"{name} {variant.value}", old, new):
+        if verdicts:
+            parts = [{"verdict": (o.sat,)} for o in outcomes]
+        else:
+            parts = [
+                {"verdict, decisions, conflicts and lemmas": (o.sat, o.stats.nodes, o.stats.conflicts, o.stats.lemmas),
+                 "model": _model(o.model)}
+                for o in outcomes
+            ]
+        if differ(rung, *parts):
             return False
+        for side, t, system, o in zip(("old", "new"), trees, systems, outcomes):
+            if verdicts and o.sat and not t.core.satisfies(system, o.model):
+                print(f"{rung}: the {side} tree's model does not satisfy its system", file=sys.stderr)
+                return False
         medians, ratio, won = paired(pairs, lambda side: search(trees[side], systems[side]))
-        sat, decisions, conflicts, lemmas = old["verdict, decisions, conflicts and lemmas"]
-        print(f"{name:<12} {variant.value:<10} {'SAT' if sat else 'UNSAT':<7} {decisions:>9} {conflicts:>9} {lemmas:>6} "
-              f"{1e3 * medians[0][0]:>8.2f} {1e3 * medians[1][0]:>8.2f} {ratio:>6.3f} {f'{won}/{pairs}':>7}")
+        counts = [
+            str(a) if a == b else f"{a}/{b}"
+            for a, b in zip(*[(o.stats.nodes, o.stats.conflicts, o.stats.lemmas) for o in outcomes])
+        ]
+        print(f"{name:<12} {variant.value:<10} {'SAT' if outcomes[0].sat else 'UNSAT':<7} {counts[0]:>9} "
+              f"{counts[1]:>9} {counts[2]:>6} {1e3 * medians[0][0]:>8.2f} {1e3 * medians[1][0]:>8.2f} {ratio:>6.3f} "
+              f"{f'{won}/{pairs}':>7}")
     return True
 
 
@@ -191,6 +208,8 @@ def main(argv=None):
                         help="constraint files for the front-end table (default: generated ones)")
     parser.add_argument("--pairs", type=int, default=20, help="timed pairs of runs per file and rung (default 20)")
     parser.add_argument("--random", action="store_true", help="add the random G(n, m) rungs")
+    parser.add_argument("--verdicts", action="store_true",
+                        help="on the rungs, check only the verdicts and re-check each SAT model")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -202,7 +221,7 @@ def main(argv=None):
     from search_counts import LADDER, RANDOM
 
     print()
-    return 0 if check_search(trees, args.pairs, LADDER + (RANDOM if args.random else [])) else 1
+    return 0 if check_search(trees, args.pairs, LADDER + (RANDOM if args.random else []), args.verdicts) else 1
 
 
 if __name__ == "__main__":

@@ -236,11 +236,20 @@ def satisfies(system: ConstraintSystem, assignment: Assignment) -> bool:
 # between tokens are optional: 'x+3<=y-2' reads as 'x + 3 <= y - 2'.  A
 # missing header, or one below 2, is a ModulusError.
 #
-# Each constraint line is read by one match of ``_LINE``, which spells out
-# the grammar above as nested optional groups: a term, then a relation, then
-# a term or constant, then the end of the line (blanks and a comment).  The
-# match takes as much of the line as fits that order, so when the last group
-# is set the line is well formed, and otherwise the first unset group names
+# A line with no '#' whose blank-separated tokens are exactly a term, a
+# relation and a term or constant (each sign a token of its own, or the
+# prefix of a constant) is read from its tokens by ``_read_tokens``, which
+# costs less than a match; it is the form ``render_system`` writes.  Every
+# other line, and so every error, is read by ``_LINE``, which stays the one
+# description of the grammar.  The token reader reads a line only as
+# ``_LINE`` would: ``\s`` matches exactly the characters ``str.isspace``
+# accepts, and ``\d`` those ``str.isdecimal`` accepts.
+#
+# ``_LINE`` reads a constraint line in one match that spells out the grammar
+# above as nested optional groups: a term, then a relation, then a term or
+# constant, then the end of the line (blanks and a comment).  The match
+# takes as much of the line as fits that order, so when the last group is
+# set the line is well formed, and otherwise the first unset group names
 # what was expected there.  The ParseError points at the first non-blank
 # column after the match, in the text before the comment (one past its end
 # when the line stops early).  The pieces the match took are checked first,
@@ -331,6 +340,57 @@ def _rejected_line(m: re.Match, raw: str, line_no: int) -> ParseError:
     return _stuck(raw.split("#", 1)[0], m.end(), line_no, expected)
 
 
+_SIGN = {"+": 1, "-": -1}
+
+
+def _read_tokens(raw: str, intern) -> Constraint | None:
+    """The constraint of a line read as blank-separated tokens, or None.
+
+    The line must hold no '#', and its tokens must be exactly NAME [SIGN
+    UINT] REL (NAME [SIGN UINT] | [SIGN]UINT): SIGN the whole token '+' or
+    '-', UINT a token that ``str.isdecimal`` accepts and ``int`` reads, REL
+    a relation, and each NAME one that ``intern`` takes, the left one
+    first.  Every other line gives None, and ``_LINE`` reads it.
+    """
+    if "#" in raw:
+        return None
+    tokens = raw.split()
+    count = len(tokens)
+    if count == 7:
+        a, sign, digits, rel, b, bsign, bdigits = tokens
+    elif count == 5 and tokens[1] in _REL_FROM_TEXT:
+        a, rel, b, bsign, bdigits = tokens
+        sign, digits = "+", "0"
+    elif count == 5:
+        a, sign, digits, rel, b = tokens
+        bsign = None
+    elif count == 3:
+        a, rel, b = tokens
+        sign, digits, bsign = "+", "0", None
+    else:
+        return None
+    rel = _REL_FROM_TEXT.get(rel)
+    sign = _SIGN.get(sign)
+    if rel is None or sign is None or not digits.isdecimal():
+        return None
+    if bsign is not None:
+        bsign = _SIGN.get(bsign)
+        if bsign is None or not bdigits.isdecimal():
+            return None
+    new = tuple.__new__  # as in parse_system
+    try:
+        lhs = new(Term, (intern(a), sign * int(digits)))
+        if bsign is not None:
+            rhs: Rhs = new(Term, (intern(b), bsign * int(bdigits)))
+        elif b.isdecimal() or b[0] in _SIGN and b[1:].isdecimal():
+            rhs = int(b)
+        else:
+            rhs = new(Term, (intern(b), 0))
+    except (ValueError, MdlError):
+        return None  # a number too long for int(), or a name intern() refuses
+    return new(Constraint, (lhs, rel, rhs))
+
+
 def parse_system(text: str) -> ConstraintSystem:
     """Parse the text format.  Variable ids follow first occurrence order."""
     lines = enumerate(text.splitlines(), start=1)
@@ -348,25 +408,28 @@ def parse_system(text: str) -> ConstraintSystem:
     new = tuple.__new__
     constraints: list[Constraint] = []
     for line_no, raw in lines:
-        m = _LINE(raw)
-        a, sign, digits, rel, b, bsign, bdigits, csign, cdigits, end = m.groups()
-        if end is None:
-            stop = m.end()
-            if a is None and (stop == len(raw) or raw[stop] == "#"):
-                continue  # blank, or only a comment
-            raise _rejected_line(m, raw, line_no)
-        try:
-            lhs = new(Term, (intern(a), int(sign + digits) if digits else 0))
-            if b is None:
-                rhs: Rhs = int(csign + cdigits)
-            else:
-                rhs = new(Term, (intern(b), int(bsign + bdigits) if bdigits else 0))
-        except (ValueError, MdlError):
-            error = _rejected_piece(m, line_no)
-            if error is None:
-                raise
-            raise error from None
-        constraints.append(new(Constraint, (lhs, _REL_FROM_TEXT[rel], rhs)))
+        constraint = _read_tokens(raw, intern)
+        if constraint is None:
+            m = _LINE(raw)
+            a, sign, digits, rel, b, bsign, bdigits, csign, cdigits, end = m.groups()
+            if end is None:
+                stop = m.end()
+                if a is None and (stop == len(raw) or raw[stop] == "#"):
+                    continue  # blank, or only a comment
+                raise _rejected_line(m, raw, line_no)
+            try:
+                lhs = new(Term, (intern(a), int(sign + digits) if digits else 0))
+                if b is None:
+                    rhs: Rhs = int(csign + cdigits)
+                else:
+                    rhs = new(Term, (intern(b), int(bsign + bdigits) if bdigits else 0))
+            except (ValueError, MdlError):
+                error = _rejected_piece(m, line_no)
+                if error is None:
+                    raise
+                raise error from None
+            constraint = new(Constraint, (lhs, _REL_FROM_TEXT[rel], rhs))
+        constraints.append(constraint)
     return ConstraintSystem(modulus, symbols, tuple(constraints))
 
 

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_parser
-from conftest import time_limit
+from conftest import petersen, time_limit
 
+from mdlsat import core
+from mdlsat.cli import gen_random
 from mdlsat.core import (
     Constraint,
     ConstraintSystem,
@@ -22,6 +24,7 @@ from mdlsat.core import (
     parse_system,
     render_system,
 )
+from mdlsat.reductions import Variant, encode_3col
 
 
 def test_modulus_rejects_degenerate_values():
@@ -397,6 +400,81 @@ def systems(draw):
 def test_parse_render_identity(system):
     again = parse_system(render_system(system))
     assert again == system
+
+
+def _refuse_line(raw):
+    raise AssertionError(f"_LINE read {raw!r}")
+
+
+@given(systems())
+def test_the_rendered_form_is_read_without_the_regex(system):
+    # what render_system writes is the token reader's form, so a change that
+    # sends it back to _LINE fails here and not only in the benchmark
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core, "_LINE", _refuse_line)
+        assert parse_system(render_system(system)) == system
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_encodings_and_generated_files_are_read_without_the_regex(monkeypatch, variant):
+    system, _ = encode_3col(petersen(), Modulus(2**32), variant)
+    generated = gen_random(30, 120, 2**20, 2**32, 1)
+    expected = [system, parse_system(generated)]
+    monkeypatch.setattr(core, "_LINE", _refuse_line)
+    assert [parse_system(render_system(system)), parse_system(generated)] == expected
+
+
+# Near misses of each piece of the token reader's form: signs run together
+# or set apart, signed or joined digits, the reserved name, names joined to
+# other pieces, reversed relations, a number too long for int(), and
+# Unicode digits and blanks.
+_NEAR = {
+    "name": ["mod", "5y", "x<=", "x+1", "\u00e9", "x\u00a0+"],
+    "sign": ["+-", "--", "-+", "+ -", "\u2212"],
+    "digits": ["-5", "+5", "--5", "5y", "1_0", _BIG, "\u0663\u0664", "\u00b2"],
+    "rel": ["=<", "=>", "<<", "==", "<=>"],
+    "const": ["--5", "+-5", "+ -5", "- 5", "-" + _BIG, "-\u0664", "+", "\u2003"],
+}
+_SPACE = st.sampled_from([" ", " ", "  ", "\t", "\u00a0", "\u2003", "\x1f"])
+
+
+@st.composite
+def _token_line(draw):
+    """A line in the token reader's form, its pieces set apart by blanks,
+    and most of the time one piece swapped for a near miss of its kind."""
+    swap = draw(st.sampled_from(range(9)))  # the piece swapped, if there is one
+    slots = [("name", _IDENT)]
+    if draw(st.booleans()):
+        slots += [("sign", _SIGN), ("digits", _DIGITS)]
+    slots.append(("rel", _REL))
+    if draw(st.booleans()):
+        slots.append(("name", _IDENT))
+        if draw(st.booleans()):
+            slots += [("sign", _SIGN), ("digits", _DIGITS)]
+    else:
+        slots.append(("const", st.builds(operator.add, st.sampled_from(["", "+", "-"]), _DIGITS)))
+    parts = [draw(st.sampled_from(_NEAR[kind]) if i == swap else piece) for i, (kind, piece) in enumerate(slots)]
+    return draw(_BLANK) + "".join(part + draw(_SPACE) for part in parts)
+
+
+def _outcome(text):
+    """The system read from ``text``, or its error's class, message, line and column."""
+    try:
+        return parse_system(text)
+    except MdlError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.one_of(_token_line(), _grammar_line()), min_size=1, max_size=6))
+def test_the_token_reader_changes_nothing(lines):
+    # each line on its own, so that no line hides behind an error in another,
+    # and then all of them, so that names are numbered across lines
+    texts = [f"mod 10\n{line}" for line in lines] + ["\n".join(["mod 10", *lines])]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core, "_read_tokens", lambda raw, intern: None)
+        by_regex = [_outcome(text) for text in texts]
+    assert [_outcome(text) for text in texts] == by_regex
 
 
 def test_parse_is_linear_at_ten_thousand_variables():

@@ -306,6 +306,26 @@ def test_the_stored_edge_is_the_argument_with_and_without_a_repair():
     assert engine.pi == {0: 0, 1: 0, 2: 0, 3: 0, 4: 2, 5: 2}
 
 
+def test_a_repair_may_need_to_move_both_sides_of_the_zero_vertex():
+    # z stands for 0, with v >= z, w <= z, x <= z and y >= z; then x - y <= -10.
+    # Lowering x alone pushes v below z through v - x <= 5, and raising y
+    # alone pushes w above z through y - w <= 5, yet x = -5, y = 5 with v, w
+    # and z at 0 satisfies every edge: an engine that pins z must be able
+    # to move x and y at once, since neither one-sided push is a cycle
+    engine = DiffEngine()
+    _name_at_zero(engine, ["z", "v", "w", "x", "y"])
+    edges = [c("z", "v", 0), c("w", "z", 0), c("x", "z", 0), c("z", "y", 0), c("v", "x", 5), c("y", "w", 5)]
+    for e in edges:
+        assert engine.add(e) is None
+    new = c("x", "y", -10)
+    assert engine.add(new) is None
+    model = engine.greatest("z")
+    assert model == {"z": 0, "w": 0, "x": -5, "y": 5, "v": 0}
+    assert check_idl_model(edges + [new], model)
+    for one_side in ({"x": -10}, {"y": 10}):
+        assert not check_idl_model(edges + [new], dict.fromkeys("zvwxy", 0) | one_side)
+
+
 def test_a_cycle_closed_from_the_lowering_side_comes_back_in_chain_order():
     # x = 0 has one edge into it and y = 1 a hundred out-edges, so lowering x
     # steps first and reaches y through 2

@@ -1,5 +1,6 @@
 """Tests of the scripts: each demo runs against the library in src/ and exits
-0, and compare.py stops at the first difference between two trees."""
+0, and compare.py stops at the first difference between two trees, or with
+--verdicts at the first verdict that differs or model that fails."""
 
 import os
 import shutil
@@ -127,3 +128,42 @@ def test_compare_stops_where_the_relaxations_differ(tmp_path):
     assert done.returncode == 1
     assert "v100-c400: the trees differ in the relaxation" in done.stderr
     assert len(done.stderr) < 500, done.stderr
+
+
+def _search_rows(done):
+    return [row.split() for row in done.stdout.split("\n\n")[1].splitlines()[1:]]
+
+
+def test_compare_verdicts_times_a_search_that_moved(tmp_path):
+    # the tree that tries "wrap" first, which the identity check stops at the
+    # first rung, gives every rung the same verdict, so --verdicts times them
+    # all and prints each count that moved as OLD/NEW
+    done = _compare(_mutant(tmp_path, "mdl.py", "assign(2 * next_free, ", "assign(2 * next_free + 1, "), "--verdicts")
+    assert done.returncode == 0, done.stderr
+    rows = _search_rows(done)
+    assert [row[:3] for row in rows] == [
+        ["K4", "nonstrict", "UNSAT"],
+        ["K4", "strict", "UNSAT"],
+        ["W5", "nonstrict", "UNSAT"],
+        ["C5", "nonstrict", "SAT"],
+        ["Petersen", "nonstrict", "SAT"],
+        ["Petersen", "strict", "SAT"],
+    ]
+    assert rows[0][3:5] == ["8/10", "9/11"]  # K4 nonstrict's decisions and conflicts moved
+    assert all(row[-1].endswith("/2") for row in rows)  # pairs won out of 2
+
+
+def test_compare_verdicts_stops_where_the_verdicts_differ(tmp_path):
+    # a tree that calls every satisfiable rung UNSAT
+    done = _compare(_mutant(tmp_path, "mdl.py", "return SolveOutcome(True, model,", "return SolveOutcome(False, None,"),
+                    "--verdicts")
+    assert done.returncode == 1
+    assert "C5 nonstrict: the trees differ in the verdict" in done.stderr
+
+
+def test_compare_verdicts_stops_where_a_model_fails(tmp_path):
+    # a tree that skips its own re-check and returns all zeros, one colour for every vertex
+    old = "model = {v: greatest[v] for v in range(p)}\n    if eval_system(system, model) is not None:"
+    done = _compare(_mutant(tmp_path, "mdl.py", old, "model = dict.fromkeys(range(p), 0)\n    if False:"), "--verdicts")
+    assert done.returncode == 1
+    assert "C5 nonstrict: the new tree's model does not satisfy its system" in done.stderr
