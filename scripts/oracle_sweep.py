@@ -5,7 +5,9 @@ Prints agreement counts, the total decisions and total conflicts over the
 sweep (so the decisions per conflict), and the most decisions one search
 took.  Any disagreement would be a solver bug; none is expected.  Every SAT
 model, the search's and the enumeration's, must also lie in the bounded
-candidate domain of the paper's small-model bound.
+candidate domain of the paper's small-model bound.  Each disagreement and
+each model outside the domain is named by its seed and counted, and either
+makes the sweep exit 1.
 """
 
 import argparse
@@ -26,7 +28,7 @@ def main():
     parser.add_argument("--seed", type=int, default=0, help="base seed for the sweep")
     args = parser.parse_args()
 
-    sat = unsat = disagreements = 0
+    sat = unsat = disagreements = outside = 0
     worst_nodes = total_nodes = total_conflicts = 0
     started = time.monotonic()
     for i in range(args.instances):
@@ -47,8 +49,9 @@ def main():
             print(f"DISAGREEMENT at seed {seed}")
         bound = small_model_bound(system)
         for outcome in (searched, enumerated):
-            if outcome.sat:
-                assert all(v in bound for v in outcome.model.values())
+            if outcome.sat and not all(v in bound for v in outcome.model.values()):
+                outside += 1
+                print(f"MODEL OUTSIDE THE DOMAIN at seed {seed}")
         if searched.sat:
             sat += 1
         else:
@@ -56,8 +59,8 @@ def main():
     elapsed = time.monotonic() - started
     print(f"{args.instances} instances in {elapsed:.1f}s: {sat} SAT, {unsat} UNSAT, "
           f"{disagreements} disagreements, {total_nodes} decisions and {total_conflicts} conflicts "
-          f"in all, at most {worst_nodes} decisions")
-    return 1 if disagreements else 0
+          f"in all, at most {worst_nodes} decisions, {outside} models outside the domain")
+    return 1 if disagreements or outside else 0
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
-"""Every name a module of ``src/mdlsat`` or a script of ``scripts/`` imports
-is used in that module or script, only the CLI's ``main`` writes stdout,
-every function the benchmark's tracer wraps exists, and importing the CLI
-stays cheap.
+"""Every name a module of ``src/mdlsat``, a script of ``scripts/`` or a
+module of ``tests/`` imports is used in that file, only the CLI's ``main``
+writes stdout, every function the benchmark's tracer wraps exists, and
+importing the CLI stays cheap.
 
 No linter ships with the project, so this walks each file's syntax tree
 with the standard ``ast`` module.  ``__init__.py`` imports to re-export, and
@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted((ROOT / "src" / "mdlsat").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+SOURCES = [path for folder in ("src/mdlsat", "scripts", "tests") for path in sorted((ROOT / folder).glob("*.py"))]
 
 
 def unused_imports(source: str) -> list:

@@ -352,6 +352,41 @@ def test_ladder_search_counts_at_two_to_the_32(graph, variant, sat, nodes, confl
     assert (out.stats.adds, out.stats.cycles) == engine
 
 
+def _gnm(n: int, degree: float) -> Graph:
+    """G(n, m) with m = round(n*degree/2): ``rng.sample(range(n), 2)`` from a
+    fresh ``random.Random(0)`` until m distinct edges exist."""
+    rng = random.Random(0)
+    edges = set()
+    while len(edges) < round(n * degree / 2):
+        v, w = rng.sample(range(n), 2)
+        edges.add((min(v, w), max(v, w)))
+    return Graph(n, frozenset(edges))
+
+
+@pytest.mark.parametrize(
+    "n, degree, variant, sat, counts",
+    [
+        (40, 4.6, Variant.NONSTRICT, False, (119, 98, 1104, 10616, 39)),
+        (40, 4.6, Variant.STRICT, False, (119, 98, 1932, 11830, 39)),
+        (60, 4.0, Variant.NONSTRICT, True, (290, 66, 1440, 8990, 60)),
+        (60, 4.0, Variant.STRICT, True, (290, 66, 2520, 9934, 60)),
+        (60, 4.6, Variant.STRICT, False, (197, 132, 2898, 18795, 50)),
+    ],
+    ids=["n40-d4.6-nonstrict", "n40-d4.6-strict", "n60-d4.0-nonstrict", "n60-d4.0-strict", "n60-d4.6-strict"],
+)
+def test_random_rung_search_counts_at_two_to_the_32(n, degree, variant, sat, counts):
+    # the random rungs of scripts/compare.py --random, whose trails run
+    # deeper than the ladder's: decisions, conflicts, static lemmas, engine
+    # adds and the negative cycles they returned
+    system, _ = encode_3col(_gnm(n, degree), Modulus(2**32), variant)
+    with time_limit(10.0):
+        out = solve(system)
+    assert out.sat == sat
+    assert (out.stats.nodes, out.stats.conflicts, out.stats.lemmas, out.stats.adds, out.stats.cycles) == counts
+    if out.sat:
+        assert satisfies(system, out.model)
+
+
 @pytest.mark.parametrize(
     "build, sat, nodes, conflicts",
     [

@@ -1,7 +1,9 @@
 """Tests of the scripts: each demo runs against the library in src/ and exits
-0, and compare.py stops at the first difference between two trees, or with
+0, oracle_sweep.py counts the models outside the candidate domain, and
+compare.py stops at the first difference between two trees, or with
 --verdicts at the first verdict that differs or model that fails."""
 
+import importlib.util
 import os
 import shutil
 import subprocess
@@ -13,29 +15,24 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize(
-    "argv, row",
-    [
-        (["gap_demo.py"], None),
-        (["coloring_pipeline.py", "k4"], None),
-        (["oracle_sweep.py", "--instances", "40"], None),
-        # K4 nonstrict: verdict, decisions, conflicts, lemmas, engine adds and cycles
-        (["search_counts.py"], "K4 nonstrict UNSAT 8 9 72 238 4"),
-    ],
-    ids=["gap_demo", "coloring_pipeline", "oracle_sweep", "search_counts"],
-)
-def test_script_runs(argv, row):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
-        env=env,
+def _script(name, *args, src=ROOT / "src"):
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        env=dict(os.environ, PYTHONPATH=str(src)),
         capture_output=True,
         text=True,
         timeout=60,
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["gap_demo.py"], ["coloring_pipeline.py", "k4"], ["oracle_sweep.py", "--instances", "40"]],
+    ids=["gap_demo", "coloring_pipeline", "oracle_sweep"],
+)
+def test_script_runs(argv):
+    done = _script(*argv)
     assert done.returncode == 0, done.stderr
-    if row is not None:  # the printed row, without its CPU time
-        assert row.split() in [line.split()[:-1] for line in done.stdout.splitlines()], done.stdout
 
 
 def _compare(new_root, *files):
@@ -57,6 +54,16 @@ def _mutant(tmp_path, module, old, new):
     return tmp_path
 
 
+def test_oracle_sweep_counts_the_models_outside_the_domain(tmp_path):
+    # a tree whose small-model bound is B = 0, so D = {0, N-1}
+    old = "return DomainBound(b, system.modulus.n)"
+    mutant = _mutant(tmp_path, "mdl.py", old, old.replace("(b,", "(0,"))
+    done = _script("oracle_sweep.py", "--instances", "40", src=mutant / "src")
+    assert done.returncode == 1, done.stderr
+    assert "MODEL OUTSIDE THE DOMAIN at seed" in done.stdout
+    assert "models outside the domain" in done.stdout.splitlines()[-1]
+
+
 @pytest.fixture(scope="module")
 def self_run():
     """compare.py's two tables for the repo against itself, run once for both tests."""
@@ -68,20 +75,32 @@ def self_run():
 def test_compare_front_passes_the_repo_against_itself(self_run):
     front = self_run[0]
     assert [row.split()[0] for row in front] == [
-        "v100-c400", "v100-c500", "v200-c800", "v200-c1000", "v300-c1200", "v300-c1500", "all"
+        "sat-v100", "unsat-v100", "sat-v200", "unsat-v200", "sat-v300", "unsat-v300", "all"
     ]
     assert all(row.endswith("/2") for row in front[:-1])  # pairs won out of 2
 
 
+def test_compare_front_reads_the_benchmarks_relaxation_files(monkeypatch):
+    spec = importlib.util.spec_from_file_location("compare", ROOT / "scripts" / "compare.py")
+    compare = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(compare)
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import workloads
+
+    expected = [(instance.name, instance.text) for instance in workloads.WORKLOADS["relaxation"](1)]
+    assert compare.relaxation_files() == expected
+
+
 def test_compare_solve_passes_the_repo_against_itself(self_run):
     search = self_run[1]
-    assert [row.split()[:3] for row in search] == [
-        ["K4", "nonstrict", "UNSAT"],
-        ["K4", "strict", "UNSAT"],
-        ["W5", "nonstrict", "UNSAT"],
-        ["C5", "nonstrict", "SAT"],
-        ["Petersen", "nonstrict", "SAT"],
-        ["Petersen", "strict", "SAT"],
+    # verdict, decisions, conflicts, lemmas, engine adds and cycles
+    assert [" ".join(row.split()[:8]) for row in search] == [
+        "K4 nonstrict UNSAT 8 9 72 238 4",
+        "K4 strict UNSAT 8 9 126 253 4",
+        "W5 nonstrict UNSAT 12 13 120 350 6",
+        "C5 nonstrict SAT 15 5 60 220 5",
+        "Petersen nonstrict SAT 32 10 180 590 10",
+        "Petersen strict SAT 32 10 315 635 10",
     ]
     assert all(row.endswith("/2") for row in search)  # pairs won out of 2
 
@@ -109,7 +128,8 @@ def test_compare_stops_where_the_lemmas_differ(tmp_path):
     # same decisions and conflicts, and only the lemma count (item 3) differs
     done = _compare(_mutant(tmp_path, "mdl.py", "if j < len(ta) and ca[j] not in guard:", "if j < len(ta):"))
     assert done.returncode == 1
-    assert "K4 nonstrict: the trees differ in the verdict, decisions, conflicts and lemmas at item 3" in done.stderr
+    part = "verdict, decisions, conflicts, lemmas, adds and cycles"
+    assert f"K4 nonstrict: the trees differ in the {part} at item 3" in done.stderr
 
 
 def test_compare_stops_where_the_certificates_differ(tmp_path):
@@ -118,7 +138,7 @@ def test_compare_stops_where_the_certificates_differ(tmp_path):
     old = "min(range(len(cycle)), key=lambda i: cycle[i].x)"
     done = _compare(_mutant(tmp_path, "idl.py", old, old.replace("min", "max")))
     assert done.returncode == 1
-    assert "v100-c400: the trees differ in the outcome" in done.stderr
+    assert "unsat-v100: the trees differ in the outcome" in done.stderr
 
 
 def test_compare_stops_where_the_relaxations_differ(tmp_path):
@@ -126,7 +146,7 @@ def test_compare_stops_where_the_relaxations_differ(tmp_path):
     # the report names the first differing edge, not the whole edge list
     done = _compare(_mutant(tmp_path, "idl.py", "Relation.LT: ((False, 1),),", "Relation.LT: ((False, 0),),"))
     assert done.returncode == 1
-    assert "v100-c400: the trees differ in the relaxation" in done.stderr
+    assert done.stderr.startswith("sat-v100: the trees differ in the relaxation"), done.stderr
     assert len(done.stderr) < 500, done.stderr
 
 
