@@ -24,9 +24,12 @@ drawn as ``rng.sample(range(n), 2)`` from a fresh ``random.Random(0)``
 until m are distinct.  Each tree's SAT model must satisfy its system by
 that tree's ``satisfies``, and the verdict, the decisions, the conflicts,
 the static lemmas derived before the search, the engine's adds and the
-negative cycles they returned, and the model must be equal.  With
-``--verdicts`` only the verdicts must be equal, so a change that moves the
-search can still be timed, and a count that differs is printed as OLD/NEW.
+negative cycles they returned, and the model must be equal, and so must
+the engine's races (``repairs``) and the edges its searches read
+(``scanned``) where both trees count them; a tree that does not prints
+``-`` for them.  With ``--verdicts`` only the verdicts must be equal, so a
+change that moves the search can still be timed, and a count that differs
+is printed as OLD/NEW.
 
 At the first difference the script names the file or rung, the part and
 its first differing item in both trees, and exits 1.  Otherwise it makes P
@@ -53,7 +56,7 @@ from types import SimpleNamespace
 ROOT = Path(__file__).resolve().parent.parent
 N = 2**32
 STAGES = ("parse", "relax", "solve")
-COUNTS = ("decisions", "conflicts", "lemmas", "adds", "cycles")
+COUNTS = ("decisions", "conflicts", "lemmas", "adds", "cycles", "repairs", "scanned")
 TAIL = f"{'old_iqr':>8} {'ratio':>6} {'won':>7}"
 
 
@@ -221,12 +224,16 @@ def check_search(trees, pairs: int, rungs, verdicts: bool = False) -> bool:
             if o.sat and not t.core.satisfies(system, o.model):
                 print(f"{rung}: the {side} tree's model does not satisfy its system", file=sys.stderr)
                 return False
-        counts = [(o.stats.nodes, o.stats.conflicts, o.stats.lemmas, o.stats.adds, o.stats.cycles) for o in outcomes]
+        counts = [(s.nodes, s.conflicts, s.lemmas, s.adds, s.cycles, getattr(s, "repairs", "-"), getattr(s, "scanned", "-"))
+                  for s in (o.stats for o in outcomes)]
         parts = [
             {"verdict": (o.sat,)} if verdicts else
-            {"verdict, decisions, conflicts, lemmas, adds and cycles": (o.sat, *c), "model": _model(o.model)}
+            {"verdict, decisions, conflicts, lemmas, adds and cycles": (o.sat, *c[:5]), "model": _model(o.model)}
             for o, c in zip(outcomes, counts)
         ]
+        if not verdicts and "-" not in counts[0] + counts[1]:  # an older tree may not count its engine's work
+            for part, c in zip(parts, counts):
+                part["repairs and scanned"] = c[5:]
         if differ(rung, *parts):
             return False
         medians, tail = paired(pairs, lambda side: search(trees[side], systems[side]))

@@ -166,37 +166,42 @@ Assignment = dict  # dict[VarId, int]
 class ConstraintSystem:
     """An ordered list of constraints over interned variables, with a modulus.
 
-    ``num_vars`` and ``max_abs_constant`` (the largest absolute offset or
-    constant appearing anywhere, 0 if none) are computed once at construction.
+    ``num_vars`` is set at construction; ``max_abs_constant``, the largest
+    absolute offset or constant anywhere (0 if none), is computed when read.
     Duplicate constraints are kept as written.  Systems compare by value.
     """
 
-    __slots__ = ("modulus", "symbols", "constraints", "num_vars", "max_abs_constant")
+    __slots__ = ("modulus", "symbols", "constraints", "num_vars")
 
     def __init__(self, modulus: Modulus, symbols: SymbolTable, constraints: Iterable[Constraint]):
         self.modulus = modulus
         self.symbols = symbols
         self.constraints = tuple(constraints)
         n = self.num_vars = len(symbols)
+        for (x, _), _, rhs in self.constraints:
+            for v in (x, rhs.var) if isinstance(rhs, Term) else (x,):
+                if not 0 <= v < n:
+                    raise MdlError(f"constraint references unknown variable id {v}")
+
+    @property
+    def max_abs_constant(self) -> int:
         m = 0
-        for c in self.constraints:
-            lhs, rhs = c.lhs, c.rhs
-            if not 0 <= lhs.var < n:
-                raise MdlError(f"constraint references unknown variable id {lhs.var}")
-            if isinstance(rhs, Term):
-                if not 0 <= rhs.var < n:
-                    raise MdlError(f"constraint references unknown variable id {rhs.var}")
-                rhs = rhs.offset
-            if abs(lhs.offset) > m:
-                m = abs(lhs.offset)
-            if abs(rhs) > m:
-                m = abs(rhs)
-        self.max_abs_constant = m
+        for (_, k), _, rhs in self.constraints:
+            m = max(m, abs(k), abs(rhs.offset if isinstance(rhs, Term) else rhs))
+        return m
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ConstraintSystem):
             return NotImplemented
         return (self.modulus, self.symbols, self.constraints) == (other.modulus, other.symbols, other.constraints)
+
+
+def _interned_system(modulus: Modulus, symbols: SymbolTable, constraints: tuple) -> ConstraintSystem:
+    """The system of constraints whose ids ``symbols.intern`` handed out,
+    built without ``ConstraintSystem``'s check of those ids."""
+    system = object.__new__(ConstraintSystem)
+    system.modulus, system.symbols, system.constraints, system.num_vars = modulus, symbols, constraints, len(symbols)
+    return system
 
 
 def eval_system(system: ConstraintSystem, assignment: Assignment) -> int | None:
@@ -430,7 +435,7 @@ def parse_system(text: str) -> ConstraintSystem:
                 raise error from None
             constraint = new(Constraint, (lhs, _REL_FROM_TEXT[rel], rhs))
         constraints.append(constraint)
-    return ConstraintSystem(modulus, symbols, tuple(constraints))
+    return _interned_system(modulus, symbols, tuple(constraints))
 
 
 def render_term(term: Term, symbols: SymbolTable) -> str:

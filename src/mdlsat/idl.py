@@ -9,14 +9,14 @@ first time is placed where that edge is tight, or at 0 with the other end
 when both are new.  Adding an edge that pi violates runs a Dijkstra repair
 over reduced costs (Cotton & Maler, "Fast and Flexible Difference
 Constraint Propagation for DPLL(T)", SAT 2006) from both ends at once:
-lowering x and what it pushes down races raising y and what it pushes up,
-and the side that finishes first is applied.  A side whose root alone can
-move settles without the race.  Either side can instead return the edges
-of the simple negative cycle the new edge closed -- an unsatisfiability
-certificate whose inequalities sum to 0 <= (negative).  Retracting edges
-back to a mark keeps pi feasible.  ``greatest`` reads the greatest
-solution relative to one vertex, or the greatest solution <= 0, off the
-live edges, with the same Dijkstra as the repair.
+lowering x and what it pushes down races raising y and what it pushes up
+in one loop, and the side that finishes first is applied.  A side whose
+root alone can move settles without the race.  Either side can instead
+return the edges of the simple negative cycle the new edge closed -- an
+unsatisfiability certificate whose inequalities sum to 0 <= (negative).
+Retracting edges back to a mark keeps pi feasible.  ``greatest`` reads the
+greatest solution relative to one vertex, or the greatest solution <= 0,
+off the live edges, with the same loop on its lowering side alone.
 
 ``solve_idl`` adds the constraints to one engine in input order, each
 constraint its own edge.  Its model is the greatest solution <= 0, which is
@@ -119,7 +119,9 @@ class DiffEngine:
     is feasible, and nothing more.  The greatest solutions are read off with
     ``greatest``.  Vertices are hashable, and the ones a search meets must
     also order against each other, as ints do.  ``adds`` counts the calls of
-    ``add`` and ``cycles`` the ones that returned a negative cycle.
+    ``add``, ``cycles`` the ones that returned a negative cycle, ``repairs``
+    the races they ran, and ``steps`` and ``scanned`` the vertices settled
+    and edges read by the searches of those races and of ``greatest``.
     """
 
     def __init__(self):
@@ -130,7 +132,7 @@ class DiffEngine:
         self._into: defaultdict = defaultdict(list)
         self._out: defaultdict = defaultdict(list)
         self._trail: list = []
-        self.adds = self.cycles = 0
+        self.adds = self.cycles = self.repairs = self.steps = self.scanned = 0
 
     def mark(self) -> int:
         """A point on the edge stack to ``backtrack`` to later."""
@@ -194,24 +196,10 @@ class DiffEngine:
                 pi[root] += sign * drop
                 drop = 0
         if drop < 0:
-            lower, low_parent, rise, high_parent = {x: drop}, {}, {y: drop}, {}
-            low = self._dijkstra(lower, low_parent, False, 0, y)
-            high = self._dijkstra(rise, high_parent, True, 0, x)
-            while True:
-                if a <= b:
-                    work = next(low, None)
-                    if work is None:
-                        break
-                    a += work
-                else:
-                    work = next(high, None)
-                    if work is None:
-                        break
-                    b += work
-            if a <= b:
-                dist, parent, root, v, sign, near = lower, low_parent, x, y, 1, 1
-            else:
-                dist, parent, root, v, sign, near = rise, high_parent, y, x, -1, 0
+            self.repairs += 1
+            lower = {x: drop}
+            dist, parent = self._search(lower, [(drop, x)], {y: drop}, [(drop, y)], a, b, 0, x, y)
+            root, v, sign, near = (x, y, 1, 1) if dist is lower else (y, x, -1, 0)
             if v in parent:
                 path = []
                 while v != root:
@@ -242,47 +230,77 @@ class DiffEngine:
             shift, reduced = 0, {v: -p for v, p in pi.items()}
         else:
             shift, reduced = pi.setdefault(root, 0), {root: 0}
-        for _ in self._dijkstra(reduced, {}):
-            pass
+        frontier = [(d, v) for v, d in reduced.items()]
+        heapify(frontier)
+        self._search(reduced, frontier, None, None, 0, math.inf, math.inf, None, None)
         return {v: r + pi[v] - shift for v, r in reduced.items()}
 
-    def _dijkstra(self, dist, parent, raising=False, cap=math.inf, stop=None):
-        """Dijkstra over the reduced costs k + pi[y] - pi[x] >= 0, a vertex a step.
+    def _search(self, lower, low, rise, high, a, b, cap, x, y):
+        """Dijkstra over the reduced costs k + pi[y] - pi[x] >= 0 from both
+        sides at once; returns the side that finished, as its distances and
+        the edge that last offered each vertex one.
 
-        ``dist`` holds the start distances and receives the rest.  A lowering
-        search follows each edge x - y <= k from y to x, a raising one from x
-        to y, and offers the far end the near end's distance plus the edge's
-        reduced cost.  In a repair, a lowering distance is what pi must add,
-        and a raising one what it must subtract.  Only distances below
-        ``cap`` are kept, an unreached vertex counting as ``cap``, and the
-        search ends as soon as ``stop`` is offered one.  parent[v] is the
-        edge that last offered v a distance.
-
-        This is a generator: after settling each vertex it yields the work
-        that step charged, the length of the edge list of each vertex it
-        queued.
+        ``lower`` and ``rise`` map each side's starts to their distances,
+        ``low`` and ``high`` hold them as (distance, vertex) heaps, and all
+        four take the rest.  Lowering follows each edge x - y <= k from y to
+        x, raising from x to y; a repair adds lowering distances to pi and
+        subtracts raising ones.  Only distances below ``cap`` are kept.  The
+        side charged less so far, ``a`` or ``b`` (lowering on a tie, and
+        never raising with ``b`` infinite), settles its next vertex, and
+        queueing a vertex charges it the length of that vertex's edge list.
+        A side finishes when its heap runs out, or when it offers the other
+        end of the new edge, y or x, a distance.  Then ``steps`` and
+        ``scanned`` take the vertices settled and the edges read.
         """
-        pi = self.pi
-        edges, far, sign = (self._out, 1, -1) if raising else (self._into, 0, 1)
-        frontier = [(d, v) for v, d in dist.items()]
-        heapify(frontier)
-        while frontier:
-            d, u = heappop(frontier)
-            if d > dist[u]:
-                continue  # a stale entry; u was settled nearer
-            base = d + sign * pi[u]
-            work = 0
-            for edge in edges.get(u, ()):
-                v = edge[far]
-                r = base + edge[2] - sign * pi[v]
-                if r < dist.get(v, cap):
-                    parent[v] = edge
-                    if v == stop:
-                        return
-                    dist[v] = r
-                    heappush(frontier, (r, v))
-                    work += len(edges.get(v, ()))
-            yield work
+        pi, into, out = self.pi, self._into, self._out
+        low_parent, high_parent, steps, scanned = {}, {}, 0, 0
+        try:
+            while True:
+                if a <= b:
+                    if not low:
+                        return lower, low_parent
+                    d, u = heappop(low)
+                    if d > lower[u]:
+                        continue  # a stale entry; u was settled nearer
+                    steps += 1
+                    base = d + pi[u]
+                    edges = into.get(u, ())
+                    scanned += len(edges)
+                    for edge in edges:
+                        v = edge[0]
+                        r = base + edge[2] - pi[v]
+                        if r < lower.get(v, cap):
+                            low_parent[v] = edge
+                            if v == y:
+                                scanned -= len(edges) - 1 - edges.index(edge)
+                                return lower, low_parent
+                            lower[v] = r
+                            heappush(low, (r, v))
+                            a += len(into.get(v, ()))
+                else:
+                    if not high:
+                        return rise, high_parent
+                    d, u = heappop(high)
+                    if d > rise[u]:
+                        continue
+                    steps += 1
+                    base = d - pi[u]
+                    edges = out.get(u, ())
+                    scanned += len(edges)
+                    for edge in edges:
+                        v = edge[1]
+                        r = base + edge[2] + pi[v]
+                        if r < rise.get(v, cap):
+                            high_parent[v] = edge
+                            if v == x:
+                                scanned -= len(edges) - 1 - edges.index(edge)
+                                return rise, high_parent
+                            rise[v] = r
+                            heappush(high, (r, v))
+                            b += len(out.get(v, ()))
+        finally:
+            self.steps += steps
+            self.scanned += scanned
 
 
 def solve_idl(constraints) -> IdlOutcome:

@@ -52,9 +52,9 @@ class SelfCheckError(MdlError):
 
 class SearchStats(NamedTuple):
     """``nodes`` counts assignments tried by enumeration and decisions by CDCL;
-    ``lemmas`` counts the clauses CDCL derives before its search, ``adds``
-    its calls of ``DiffEngine.add`` and ``cycles`` the negative cycles they
-    returned.  Enumeration leaves every count but ``nodes`` at 0."""
+    ``lemmas`` counts the clauses CDCL derives before its search, and the
+    rest are the counts of its ``DiffEngine``, named as there.  Enumeration
+    leaves every count but ``nodes`` at 0."""
 
     method: str
     nodes: int
@@ -62,6 +62,13 @@ class SearchStats(NamedTuple):
     lemmas: int = 0
     adds: int = 0
     cycles: int = 0
+    repairs: int = 0
+    steps: int = 0
+    scanned: int = 0
+
+
+def _cdcl_stats(nodes: int, conflicts: int, lemmas: int, e: DiffEngine) -> SearchStats:
+    return SearchStats("cdcl", nodes, conflicts, lemmas, e.adds, e.cycles, e.repairs, e.steps, e.scanned)
 
 
 class SolveOutcome(NamedTuple):
@@ -324,7 +331,7 @@ def solve(system: ConstraintSystem) -> SolveOutcome:
     engine = DiffEngine()
     for edge in unguarded:
         if engine.add(edge) is not None:
-            return SolveOutcome(False, None, SearchStats("cdcl", 0, 1, 0, engine.adds, engine.cycles))
+            return SolveOutcome(False, None, _cdcl_stats(0, 1, 0, engine))
 
     # indexed by literal i; the trail and clauses hold codes 2*i + value
     value: list = [None] * len(literals)
@@ -436,8 +443,7 @@ def solve(system: ConstraintSystem) -> SolveOutcome:
             conflicts += 1
             top = max(level[lit >> 1] for lit in conflict)
             if top == 0:
-                stats = SearchStats("cdcl", nodes, conflicts, len(lemmas), engine.adds, engine.cycles)
-                return SolveOutcome(False, None, stats)
+                return SolveOutcome(False, None, _cdcl_stats(nodes, conflicts, len(lemmas), engine))
             learnt = analyze(conflict, top)
             back = max((level[lit >> 1] for lit in learnt[1:]), default=0)
             # back to level top - 1: the literals of lower levels above the
@@ -470,4 +476,4 @@ def solve(system: ConstraintSystem) -> SolveOutcome:
     model = {v: greatest[v] for v in range(p)}
     if eval_system(system, model) is not None:
         raise SelfCheckError("internal error: search produced a non-model")
-    return SolveOutcome(True, model, SearchStats("cdcl", nodes, conflicts, len(lemmas), engine.adds, engine.cycles))
+    return SolveOutcome(True, model, _cdcl_stats(nodes, conflicts, len(lemmas), engine))

@@ -32,6 +32,7 @@ from .core import (
     Relation,
     SymbolTable,
     Term,
+    _interned_system,
 )
 
 
@@ -138,7 +139,7 @@ def encode_3col(graph: Graph, modulus: Modulus, variant: Variant) -> tuple[Const
             constraints.append(new(Constraint, (new(Term, (vertex_vars[u][c], 0)), rel, new(Term, (e, -1)))))
             constraints.append(new(Constraint, (new(Term, (vertex_vars[w][c], 0)), rel, new(Term, (f, -1)))))
             constraints.append(new(Constraint, (new(Term, (f, 1)), rel, new(Term, (e, 1 if strict else 0)))))
-    system = ConstraintSystem(modulus, symbols, tuple(constraints))
+    system = _interned_system(modulus, symbols, tuple(constraints))
     meta = EncodingMeta(variant, modulus, tuple(vertex_vars), edge_vars)
     return system, meta
 

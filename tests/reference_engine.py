@@ -2,17 +2,21 @@
 the one-step repair, kept verbatim as a test oracle for the engine.
 
 It builds the two-sided race for every violated add except when a root has
-no edge at all.  The engine in ``mdlsat.idl`` differs from it by the
-one-step repair: it also moves the root of the side the race steps first
-without the race when that move breaks none of the root's edges.  It also
-differs by its API: ``add(x, y, k, reason)`` here builds its own edge
-tuple and returns a cycle as its edges' reasons, where ``mdlsat.idl``
-stores the caller's (x, y, k, tag) tuple and returns the stored edges.
-Both engines' searches find the stop vertex by scanning each settled
-vertex's own edge list.  ``tests/test_idl.py`` drives it and the current
-engine through the same adds and backtracks and checks that they return the
-same cycles (the reasons here against the tags of the edges there), keep
-the same potential and read off the same greatest solutions.
+no edge at all, and runs it as two ``_dijkstra`` generators, one per side,
+stepped in turn with ``next()``.  The engine in ``mdlsat.idl`` runs the
+same race, and ``greatest``'s search, in one plain loop, ``_search``, so
+this generator race is the independent oracle for that loop.  That engine
+also differs from this one by the one-step repair: it also moves the root
+of the side the race steps first without the race when that move breaks
+none of the root's edges, and by its API: ``add(x, y, k, reason)`` here
+builds its own edge tuple and returns a cycle as its edges' reasons, where
+``mdlsat.idl`` stores the caller's (x, y, k, tag) tuple and returns the
+stored edges.  Both engines' searches find the stop vertex by scanning
+each settled vertex's own edge list.  ``tests/test_idl.py`` drives it and
+the current engine through the same adds and backtracks and checks that
+they return the same cycles (the reasons here against the tags of the
+edges there), keep the same potential and read off the same greatest
+solutions.
 """
 
 from __future__ import annotations

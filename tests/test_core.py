@@ -402,6 +402,31 @@ def test_parse_render_identity(system):
     assert again == system
 
 
+@given(systems())
+def test_a_parsed_system_is_the_one_the_checking_constructor_builds(system):
+    # parse_system builds its system without re-checking the ids it has
+    # just interned, and reads max_abs_constant only when asked
+    parsed = parse_system(render_system(system))
+    checked = ConstraintSystem(system.modulus, system.symbols, system.constraints)
+    assert parsed == checked
+    assert (parsed.num_vars, parsed.max_abs_constant) == (checked.num_vars, checked.max_abs_constant)
+    constants = [c.rhs.offset if isinstance(c.rhs, Term) else c.rhs for c in system.constraints]
+    constants += [c.lhs.offset for c in system.constraints]
+    assert parsed.max_abs_constant == max(map(abs, constants), default=0)
+
+
+@pytest.mark.parametrize(
+    "lhs, rhs, vid",
+    [(Term(2, 0), Term(0, 0), 2), (Term(0, 0), Term(2, 1), 2), (Term(-1, 0), 5, -1), (Term(1, 0), Term(-3, 0), -3)],
+    ids=["lhs", "rhs", "negative-lhs", "negative-rhs"],
+)
+def test_the_constructor_refuses_an_unknown_variable_id(lhs, rhs, vid):
+    # over x = id 0 and y = id 1, after a constraint that names only known ids
+    constraints = [Constraint(Term(0, 0), Relation.LE, 1), Constraint(lhs, Relation.LE, rhs)]
+    with pytest.raises(MdlError, match=f"^constraint references unknown variable id {vid}$"):
+        ConstraintSystem(Modulus(8), SymbolTable(["x", "y"]), constraints)
+
+
 def _refuse_line(raw):
     raise AssertionError(f"_LINE read {raw!r}")
 

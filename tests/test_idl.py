@@ -242,6 +242,9 @@ def test_a_hub_closes_a_cycle_through_the_earlier_of_two_parallel_edges():
     cycle = engine.add(new)
     assert cycle == (new, c(200, 0, 1), c(0, 300, 0))
     assert cycle[1] is edges[100]  # not the lighter edges[101]
+    # the race settles 300, then 200 (three edges), then the hub, whose scan
+    # stops at its 101st edge; the earlier adds needed no race
+    assert (engine.repairs, engine.steps, engine.scanned) == (1, 3, 1 + 3 + 101)
     reference = reference_engine.DiffEngine()
     for e in edges:
         reference.add(e.x, e.y, e.k, e)
@@ -259,6 +262,7 @@ def test_a_one_step_repair_moves_only_the_root():
     new = c(0, 10, -5)
     assert engine.add(new) is None
     assert engine.pi == {**before, 0: -5}
+    assert (engine.repairs, engine.steps, engine.scanned) == (0, 0, 0)  # no race
     _assert_stored_last(engine, new)  # not the last of x's edges that the move was checked against
 
 
@@ -273,6 +277,7 @@ def test_a_one_step_repair_moves_only_the_root_from_the_raising_side():
     new = c(0, 10, -5)
     assert engine.add(new) is None
     assert engine.pi == {**before, 10: 5}
+    assert (engine.repairs, engine.steps, engine.scanned) == (0, 0, 0)
     _assert_stored_last(engine, new)
 
 
@@ -304,6 +309,8 @@ def test_the_stored_edge_is_the_argument_with_and_without_a_repair():
     assert engine.mark() == before + 1
     _assert_stored_last(engine, new)
     assert engine.pi == {0: 0, 1: 0, 2: 0, 3: 0, 4: 2, 5: 2}
+    # lowering settles 0, then raising settles 4 and 5 and runs out first
+    assert (engine.repairs, engine.steps, engine.scanned) == (1, 3, 2)
 
 
 def test_a_repair_may_need_to_move_both_sides_of_the_zero_vertex():
@@ -341,6 +348,8 @@ def test_a_cycle_closed_from_the_lowering_side_comes_back_in_chain_order():
     assert check_idl_cycle(cycle)
     # the edge that closes a cycle is not stored, and pi is left as it was
     assert engine.mark() == before and engine.pi == pi
+    # one race, in which lowering settles 0 and 2 and reads one edge at each
+    assert (engine.repairs, engine.steps, engine.scanned) == (1, 2, 2)
     assert all(e is not new for e in engine._trail + engine._into[1] + engine._out[0])
 
 
@@ -422,23 +431,7 @@ def _planted_idl(rng, size, bound_slack, relation_slack):
     return bounds, relations
 
 
-def _dijkstra_calls(monkeypatch) -> list:
-    """The arguments after ``dist`` and ``parent`` of each later
-    ``DiffEngine._dijkstra`` call: a repair passes the side, the cap and the
-    stop vertex, ``greatest`` nothing."""
-    calls = []
-    dijkstra = DiffEngine._dijkstra
-
-    def counted(self, *args, **kwargs):
-        calls.append(args[2:])
-        return dijkstra(self, *args, **kwargs)
-
-    monkeypatch.setattr(DiffEngine, "_dijkstra", counted)
-    return calls
-
-
-def test_add_places_a_new_end_where_its_edge_is_tight(monkeypatch):
-    calls = _dijkstra_calls(monkeypatch)
+def test_add_places_a_new_end_where_its_edge_is_tight():
     engine = DiffEngine()
     assert engine.add(c(1, 2, 4)) is None  # both ends new: both at 0
     assert engine.pi == {1: 0, 2: 0}
@@ -450,18 +443,25 @@ def test_add_places_a_new_end_where_its_edge_is_tight(monkeypatch):
     assert engine.add(loop) == (loop,)  # a new negative self-loop is seen, at 0
     assert engine.pi == {1: 0, 2: 0, 3: 5, 4: 11, 5: 0}
     assert engine.mark() == 3
-    assert calls == []
+    assert (engine.repairs, engine.steps, engine.scanned) == (0, 0, 0)
 
 
-def test_vertices_placed_by_their_bounds_need_no_repair(monkeypatch):
+def test_vertices_placed_by_their_bounds_need_no_repair():
     # each vertex is first named by its bound, so it is placed within 3 of
-    # the model, and no relation with slack 6 or more is then violated
+    # the model, and no relation with slack 6 or more is then violated;
+    # solve_idl makes the same adds on an engine of its own
     bounds, relations = _planted_idl(random.Random(5), 40, (0, 3), (6, 20))
-    calls = _dijkstra_calls(monkeypatch)
+    engine = DiffEngine()
+    for e in bounds + relations:
+        assert engine.add(e) is None
+    assert (engine.repairs, engine.steps) == (0, 0)
+    model = _greatest_at_most_zero(range(len(bounds) + 1), bounds + relations)
+    assert engine.greatest() == model
+    # greatest's one search settles each vertex once and reads each edge once
+    assert (engine.steps, engine.scanned) == (len(model), len(bounds) + len(relations))
     out = solve_idl(bounds + relations)
-    assert calls == [()]  # greatest's one search, and no repair
     assert out.sat
-    assert out.model == _greatest_at_most_zero(range(len(bounds) + 1), bounds + relations)
+    assert out.model == model
 
 
 @pytest.mark.parametrize("order", ["bounds-first", "shuffled", "relations-only"])

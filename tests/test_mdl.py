@@ -217,17 +217,40 @@ def test_solve_meets_contradicting_unit_lemmas_as_a_level_zero_conflict(text):
     # after the engine took x's two range bounds and before it took more
     system = parse_system(text)
     assert sorted(_wrap_theory(system)[3]) == [(0,), (1,)]
-    assert solve(system).stats == ("cdcl", 0, 1, 2, 2, 0)
+    assert solve(system).stats == ("cdcl", 0, 1, 2, 2, 0, 0, 0, 0)
 
 
 @pytest.mark.parametrize("text", ["mod 8\nx < 0\n", "mod 2\nx > 1\n"])
 def test_solve_refuses_a_negative_cycle_of_unguarded_edges_before_the_lemmas(text):
     # the lemma pass gives the empty clause here, but ``solve`` adds the
     # unguarded edges first and stops at their cycle, with no lemma counted:
-    # the third of its three adds closes the one cycle
+    # the third of its three adds closes the one cycle, in one race that
+    # settles x and meets the zero vertex on the one edge it reads
     system = parse_system(text)
     assert () in _wrap_theory(system)[3]
-    assert solve(system) == (False, None, ("cdcl", 0, 1, 0, 3, 1))
+    assert solve(system) == (False, None, ("cdcl", 0, 1, 0, 3, 1, 1, 1, 1))
+
+
+@pytest.mark.parametrize(
+    "graph, variant",
+    [(Graph.complete(4), Variant.STRICT), (Graph.cycle(5), Variant.NONSTRICT)],
+    ids=["unsat-at-level-zero", "sat"],
+)
+def test_search_stats_are_the_engines_own_counts(monkeypatch, graph, variant):
+    # what each of solve's returns reports is what its engine counted, the
+    # model's ``greatest`` included
+    engines = []
+
+    class Recorded(DiffEngine):
+        def __init__(self):
+            super().__init__()
+            engines.append(self)
+
+    monkeypatch.setattr("mdlsat.mdl.DiffEngine", Recorded)
+    stats = solve(encode_3col(graph, Modulus(2**32), variant)[0]).stats
+    (engine,) = engines
+    assert engine.repairs > 0
+    assert stats[4:] == (engine.adds, engine.cycles, engine.repairs, engine.steps, engine.scanned)
 
 
 # --- complete solver --------------------------------------------------------
@@ -334,22 +357,23 @@ def _wheel5():
 @pytest.mark.parametrize(
     "graph, variant, sat, nodes, conflicts, engine",
     [
-        (Graph.complete(4), Variant.STRICT, False, 8, 9, (253, 4)),
-        (_wheel5(), Variant.NONSTRICT, False, 12, 13, (350, 6)),
-        (Graph.cycle(5), Variant.NONSTRICT, True, 15, 5, (220, 5)),
-        (petersen(), Variant.NONSTRICT, True, 32, 10, (590, 10)),
-        (petersen(), Variant.STRICT, True, 32, 10, (635, 10)),
+        (Graph.complete(4), Variant.STRICT, False, 8, 9, (253, 4, 24, 79, 257)),
+        (_wheel5(), Variant.NONSTRICT, False, 12, 13, (350, 6, 20, 73, 436)),
+        (Graph.cycle(5), Variant.NONSTRICT, True, 15, 5, (220, 5, 12, 77, 277)),
+        (petersen(), Variant.NONSTRICT, True, 32, 10, (590, 10, 25, 186, 714)),
+        (petersen(), Variant.STRICT, True, 32, 10, (635, 10, 65, 276, 984)),
     ],
     ids=["k4-strict", "w5-nonstrict", "c5-nonstrict", "petersen-nonstrict", "petersen-strict"],
 )
 def test_ladder_search_counts_at_two_to_the_32(graph, variant, sat, nodes, conflicts, engine):
     # the search is deterministic, so a refactor that keeps it keeps these
-    # counts; ``engine`` is the engine's adds and the negative cycles they returned
+    # counts; ``engine`` is the engine's adds, the negative cycles they
+    # returned, its races, and the vertices settled and edges read by its searches
     system, _ = encode_3col(graph, Modulus(2**32), variant)
     with time_limit(2.0):
         out = solve(system)
     assert (out.sat, out.stats.nodes, out.stats.conflicts) == (sat, nodes, conflicts)
-    assert (out.stats.adds, out.stats.cycles) == engine
+    assert (out.stats.adds, out.stats.cycles, out.stats.repairs, out.stats.steps, out.stats.scanned) == engine
 
 
 def _gnm(n: int, degree: float) -> Graph:

@@ -35,9 +35,9 @@ def test_script_runs(argv):
     assert done.returncode == 0, done.stderr
 
 
-def _compare(new_root, *files):
+def _compare(new_root, *files, old_root=ROOT):
     return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "compare.py"), str(ROOT), str(new_root), *map(str, files),
+        [sys.executable, str(ROOT / "scripts" / "compare.py"), str(old_root), str(new_root), *map(str, files),
          "--pairs", "2"],
         capture_output=True,
         text=True,
@@ -93,14 +93,15 @@ def test_compare_front_reads_the_benchmarks_relaxation_files(monkeypatch):
 
 def test_compare_solve_passes_the_repo_against_itself(self_run):
     search = self_run[1]
-    # verdict, decisions, conflicts, lemmas, engine adds and cycles
-    assert [" ".join(row.split()[:8]) for row in search] == [
-        "K4 nonstrict UNSAT 8 9 72 238 4",
-        "K4 strict UNSAT 8 9 126 253 4",
-        "W5 nonstrict UNSAT 12 13 120 350 6",
-        "C5 nonstrict SAT 15 5 60 220 5",
-        "Petersen nonstrict SAT 32 10 180 590 10",
-        "Petersen strict SAT 32 10 315 635 10",
+    # verdict, decisions, conflicts, lemmas, engine adds and cycles, its
+    # races and the edges its searches read
+    assert [" ".join(row.split()[:10]) for row in search] == [
+        "K4 nonstrict UNSAT 8 9 72 238 4 15 281",
+        "K4 strict UNSAT 8 9 126 253 4 24 257",
+        "W5 nonstrict UNSAT 12 13 120 350 6 20 436",
+        "C5 nonstrict SAT 15 5 60 220 5 12 277",
+        "Petersen nonstrict SAT 32 10 180 590 10 25 714",
+        "Petersen strict SAT 32 10 315 635 10 65 984",
     ]
     assert all(row.endswith("/2") for row in search)  # pairs won out of 2
 
@@ -130,6 +131,24 @@ def test_compare_stops_where_the_lemmas_differ(tmp_path):
     assert done.returncode == 1
     part = "verdict, decisions, conflicts, lemmas, adds and cycles"
     assert f"K4 nonstrict: the trees differ in the {part} at item 3" in done.stderr
+
+
+def test_compare_stops_where_the_engine_work_differs(tmp_path):
+    # a tree that counts each race twice makes the same search
+    done = _compare(_mutant(tmp_path, "idl.py", "self.repairs += 1", "self.repairs += 2"))
+    assert done.returncode == 1
+    assert "K4 nonstrict: the trees differ in the repairs and scanned at item 0" in done.stderr
+
+
+def test_compare_prints_a_dash_for_the_counts_an_old_tree_lacks(tmp_path):
+    # an old tree whose search stats have no repairs or scanned field
+    fields = "    repairs: int = 0\n    steps: int = 0\n    scanned: int = 0\n"
+    old = _mutant(tmp_path, "mdl.py", fields, fields.replace("repairs", "races").replace("scanned", "read"))
+    done = _compare(ROOT, old_root=old)
+    assert done.returncode == 0, done.stderr
+    rows = _search_rows(done)
+    assert rows[0][:10] == ["K4", "nonstrict", "UNSAT", "8", "9", "72", "238", "4", "-/15", "-/281"]
+    assert all(row[8].startswith("-/") and row[9].startswith("-/") for row in rows)
 
 
 def test_compare_stops_where_the_certificates_differ(tmp_path):
