@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Check that two mdlsat trees give the same results in both readings, then time them.
 
-    compare.py OLD_ROOT NEW_ROOT [FILE ...] [--pairs P] [--random] [--large] [--verdicts]
+    compare.py OLD_ROOT NEW_ROOT [FILE ...] [--pairs P] [--random] [--large] [--cliff]
+               [--verdicts] [--limit S] [--relabel K]
 
 Each ROOT is a checkout whose ``src/mdlsat`` is imported under a package
 name of its own, so both trees run in this one process.  Giving one tree
@@ -19,17 +20,32 @@ encoded by each tree's own ``encode_3col`` at N = 2^32 in one variant: K4
 in both variants, the wheel W5 with its hub last, the cycle C5 and the
 Petersen graph in both variants.  ``--random`` adds random G(n, m) graphs
 with n <= 60, which take tenths of a second each, and ``--large`` those
-with n = 100-200, which take seconds; each has m = round(n*d/2) edges,
-drawn as ``rng.sample(range(n), 2)`` from a fresh ``random.Random(0)``
-until m are distinct.  Each tree's SAT model must satisfy its system by
-that tree's ``satisfies``, and the verdict, the decisions, the conflicts,
-the static lemmas derived before the search, the engine's adds and the
-negative cycles they returned, and the model must be equal, and so must
-the engine's races (``repairs``) and the edges its searches read
-(``scanned``) where both trees count them; a tree that does not prints
-``-`` for them.  With ``--verdicts`` only the verdicts must be equal, so a
+with n = 100-200, which take seconds, and ``--cliff`` those with n = 250
+and 300, past the sizes the search decides in seconds; each has
+m = round(n*d/2) edges, drawn as ``rng.sample(range(n), 2)`` from a fresh
+``random.Random(0)`` until m are distinct.  Each tree's SAT model must
+satisfy its system by that tree's ``satisfies``, and the verdict, the
+decisions, the conflicts, the static lemmas derived before the search, the
+engine's adds and the negative cycles they returned, and the model must be
+equal, and so must the engine's races (``repairs``) and the edges its
+searches read (``scanned``) where both trees count them; a tree that does
+not prints ``-`` for them.  With ``--verdicts`` only the verdicts must be equal, so a
 change that moves the search can still be timed, and a count that differs
 is printed as OLD/NEW.
+
+Each ``mdl.solve`` call runs under a CPU limit of S seconds (``--limit``,
+10 by default; 0 gives no time at all).  A rung that reaches it prints
+``timeout`` for its counts and is not timed.  Both trees reaching it is no
+difference; one tree deciding where the other reaches it is a difference,
+and with ``--verdicts`` it is only printed, as ``UNSAT/timeout`` say.  A
+timed run that reaches the limit counts the CPU up to it.
+
+``--relabel K`` solves each random rung again under K vertex permutations,
+``random.Random(s).shuffle`` for s = 1..K, once per tree and permutation,
+and prints a third table of each tree's median and maximum decisions and
+CPU over them.  The graphs are isomorphic to the rung's, so each verdict
+must be the one that tree gave the rung, and each SAT model must satisfy
+its system; a timeout is exempt from the first check.
 
 At the first difference the script names the file or rung, the part and
 its first differing item in both trees, and exits 1.  Otherwise it makes P
@@ -39,14 +55,20 @@ prints the median CPU milliseconds of each front-end stage and of each
 run totals (``old_iqr``), the median new/old ratio and the pairs the new
 tree won; the front-end table's last row sums the medians over the files.
 Timing both trees in one process takes out the drift between separate
-runs, which on a shared host can reach 2x and hides a 10% change.
+runs, which on a shared host can reach 2x and hides a 10% change.  The
+clock is ``time.thread_time``, the CPU time of the script's one thread:
+while the limit's process timer is armed, Linux reads the process's CPU
+clock only to the scheduler tick, so ``time.process_time`` would read 0
+for a K4 solve.
 """
 
 import argparse
 import importlib
 import importlib.util
 import itertools
+import math
 import random
+import signal
 import statistics
 import sys
 import time
@@ -95,6 +117,7 @@ LARGE = random_rungs(
     (100, 4.0, "nonstrict"), (100, 4.0, "strict"), (150, 4.0, "nonstrict"), (150, 4.6, "nonstrict"),
     (200, 4.0, "strict"), (200, 4.6, "nonstrict"), (200, 4.6, "strict"),
 )
+CLIFF = random_rungs((250, 4.6, "nonstrict"), (300, 4.4, "nonstrict"), (300, 4.6, "nonstrict"))
 
 
 def _import(name: str, path: Path, **spec_args):
@@ -151,21 +174,44 @@ def paired(pairs: int, run):
 
 def front(tree, text):
     """The three stages on ``text``, each result with its CPU seconds."""
-    started = time.process_time()
+    started = time.thread_time()
     system = tree.core.parse_system(text)
-    parsed = time.process_time()
+    parsed = time.thread_time()
     relaxation = tree.idl.relax_to_idl(system)
-    relaxed = time.process_time()
+    relaxed = time.thread_time()
     outcome = tree.idl.solve_idl(relaxation.constraints)
-    solved = time.process_time()
+    solved = time.thread_time()
     return (system, relaxation, outcome), (parsed - started, relaxed - parsed, solved - relaxed)
 
 
-def search(tree, system):
-    """The CPU seconds of one ``mdl.solve`` call, as a one-stage run."""
-    started = time.process_time()
-    tree.mdl.solve(system)
-    return (time.process_time() - started,)
+class TimeLimit(Exception):
+    """An ``mdl.solve`` call reached the CPU limit."""
+
+
+def _expire(signum, frame):
+    raise TimeLimit
+
+
+def decide(tree, system, limit: float):
+    """``tree.mdl.solve(system)``, or None once it has taken ``limit`` CPU seconds."""
+    if limit <= 0:  # setitimer(..., 0) would disarm the timer, not expire it
+        return None
+    previous = signal.signal(signal.SIGPROF, _expire)
+    signal.setitimer(signal.ITIMER_PROF, limit)
+    try:
+        return tree.mdl.solve(system)
+    except TimeLimit:
+        return None
+    finally:
+        signal.setitimer(signal.ITIMER_PROF, 0)
+        signal.signal(signal.SIGPROF, previous)
+
+
+def search(tree, system, limit: float):
+    """The CPU seconds of one ``mdl.solve`` call under the limit, as a one-stage run."""
+    started = time.thread_time()
+    decide(tree, system, limit)
+    return (time.thread_time() - started,)
 
 
 def _edges(constraints):
@@ -206,40 +252,112 @@ def check_front(trees, pairs: int, files=()) -> bool:
     return True
 
 
-def check_search(trees, pairs: int, rungs, verdicts: bool = False) -> bool:
-    """Print the search table; False at the first rung where a SAT model
-    fails its tree's ``satisfies`` or the trees differ, with ``verdicts``
-    only where their verdicts differ."""
+def encode(tree, n: int, edges, variant: str):
+    """The 3-colouring system of the graph in one variant at N = 2^32, by ``tree``'s own encoder."""
+    graph = tree.reductions.Graph.from_edges(n, edges)
+    return tree.reductions.encode_3col(graph, tree.core.Modulus(N), tree.reductions.Variant(variant))[0]
+
+
+def verdict(outcome) -> str:
+    return "timeout" if outcome is None else "SAT" if outcome.sat else "UNSAT"
+
+
+def failed_model(rung: str, trees, systems, outcomes) -> bool:
+    """Report the first SAT model that does not satisfy its tree's system."""
+    for side, t, system, o in zip(("old", "new"), trees, systems, outcomes):
+        if o is not None and o.sat and not t.core.satisfies(system, o.model):
+            print(f"{rung}: the {side} tree's model does not satisfy its system", file=sys.stderr)
+            return True
+    return False
+
+
+def _pair(a, b) -> str:
+    return f"{a}" if a == b else f"{a}/{b}"
+
+
+def check_search(trees, pairs: int, rungs, verdicts: bool, limit: float):
+    """Print the search table and return each rung's two verdicts; None at
+    the first rung where a SAT model fails its tree's ``satisfies`` or the
+    trees differ, with ``verdicts`` only where both decide and their
+    verdicts differ.  A rung that reaches the limit in either tree is not
+    timed; both trees reaching it is no difference."""
     columns = " ".join(f"{count:>9}" for count in COUNTS)
     print(f"{'graph':<12} {'variant':<10} {'verdict':<7} {columns} {'old_ms':>8} {'new_ms':>8} {TAIL}")
+    found = []
     for name, (n, edges), variant in rungs:
         rung = f"{name} {variant}"
-        systems = [
-            t.reductions.encode_3col(t.reductions.Graph.from_edges(n, edges), t.core.Modulus(N),
-                                     t.reductions.Variant(variant))[0]
-            for t in trees
+        systems = [encode(t, n, edges, variant) for t in trees]
+        outcomes = [decide(t, s, limit) for t, s in zip(trees, systems)]
+        if failed_model(rung, trees, systems, outcomes):
+            return None
+        found.append([verdict(o) for o in outcomes])
+        counts = [
+            ("timeout",) * len(COUNTS) if o is None else
+            (o.stats.nodes, o.stats.conflicts, o.stats.lemmas, o.stats.adds, o.stats.cycles,
+             getattr(o.stats, "repairs", "-"), getattr(o.stats, "scanned", "-"))
+            for o in outcomes
         ]
-        outcomes = [t.mdl.solve(s) for t, s in zip(trees, systems)]
-        for side, t, system, o in zip(("old", "new"), trees, systems, outcomes):
-            if o.sat and not t.core.satisfies(system, o.model):
-                print(f"{rung}: the {side} tree's model does not satisfy its system", file=sys.stderr)
-                return False
-        counts = [(s.nodes, s.conflicts, s.lemmas, s.adds, s.cycles, getattr(s, "repairs", "-"), getattr(s, "scanned", "-"))
-                  for s in (o.stats for o in outcomes)]
         parts = [
-            {"verdict": (o.sat,)} if verdicts else
-            {"verdict, decisions, conflicts, lemmas, adds and cycles": (o.sat, *c[:5]), "model": _model(o.model)}
-            for o, c in zip(outcomes, counts)
+            {"verdict": (v,)} if verdicts else
+            {"verdict, decisions, conflicts, lemmas, adds and cycles": (v, *c[:5]), "model": _model(o and o.model)}
+            for v, o, c in zip(found[-1], outcomes, counts)
         ]
         if not verdicts and "-" not in counts[0] + counts[1]:  # an older tree may not count its engine's work
             for part, c in zip(parts, counts):
                 part["repairs and scanned"] = c[5:]
-        if differ(rung, *parts):
-            return False
-        medians, tail = paired(pairs, lambda side: search(trees[side], systems[side]))
-        cells = " ".join(f"{a if a == b else f'{a}/{b}':>9}" for a, b in zip(*counts))
-        print(f"{name:<12} {variant:<10} {'SAT' if outcomes[0].sat else 'UNSAT':<7} {cells} "
-              f"{1e3 * medians[0][0]:>8.2f} {1e3 * medians[1][0]:>8.2f} {tail}")
+        decided = None not in outcomes
+        if (decided or not verdicts) and differ(rung, *parts):
+            return None
+        if decided:
+            medians, tail = paired(pairs, lambda side: search(trees[side], systems[side], limit))
+            times = f"{1e3 * medians[0][0]:>8.2f} {1e3 * medians[1][0]:>8.2f} {tail}"
+        else:
+            times = f"{'-':>8} {'-':>8}"
+        cells = " ".join(f"{_pair(a, b):>9}" for a, b in zip(*counts))
+        print(f"{name:<12} {variant:<10} {_pair(*found[-1]):<7} {cells} {times}")
+    return found
+
+
+def _median_max(values, form) -> list:
+    """The median and the maximum of ``values`` as cells; an infinite one is a timeout."""
+    return ["timeout" if x == math.inf else form(x) for x in (statistics.median(values), max(values))]
+
+
+def check_relabel(trees, rungs, found, k: int, limit: float) -> bool:
+    """Solve each rung under the vertex permutations ``random.Random(s).shuffle``
+    for s = 1..k and print each tree's median and maximum decisions and CPU
+    milliseconds over them; False at the first SAT model that fails its
+    tree's ``satisfies``, or verdict that is not the one ``found`` for the
+    unpermuted rung in the same tree."""
+    columns = " ".join(f"{f'{side}_{stat}':>10}" for stat in ("dec_med", "dec_max", "ms_med", "ms_max")
+                       for side in ("old", "new"))
+    print(f"{'graph':<12} {'variant':<10} {'verdict':<7} {columns}")
+    for (name, (n, edges), variant), unpermuted in zip(rungs, found):
+        runs = ([], [])  # per tree: (decisions, CPU seconds) of each permutation, infinite on a timeout
+        for s in range(1, k + 1):
+            labels = list(range(n))
+            random.Random(s).shuffle(labels)
+            systems = [encode(t, n, [(labels[v], labels[w]) for v, w in edges], variant) for t in trees]
+            outcomes = [None, None]
+            for side in (s % 2, 1 - s % 2):
+                started = time.thread_time()
+                outcomes[side] = decide(trees[side], systems[side], limit)
+                cpu = time.thread_time() - started
+                runs[side].append((math.inf, math.inf) if outcomes[side] is None else (outcomes[side].stats.nodes, cpu))
+            rung = f"{name} {variant} relabelled by {s}"
+            if failed_model(rung, trees, systems, outcomes):
+                return False
+            for side, o, before in zip(("old", "new"), outcomes, unpermuted):
+                if "timeout" not in (verdict(o), before) and verdict(o) != before:
+                    print(f"{rung}: the {side} tree's verdict {verdict(o)} is not the unpermuted rung's {before}",
+                          file=sys.stderr)
+                    return False
+        cells = []
+        for stat, form in ((0, lambda x: f"{x:.10g}"), (1, lambda x: f"{1e3 * x:.2f}")):
+            old, new = (_median_max([run[stat] for run in side], form) for side in runs)
+            cells += [old[0], new[0], old[1], new[1]]
+        row = " ".join(f"{cell:>10}" for cell in cells)
+        print(f"{name:<12} {variant:<10} {_pair(*unpermuted):<7} {row}")
     return True
 
 
@@ -254,15 +372,30 @@ def main(argv=None):
     parser.add_argument("--large", action="store_true", help="add the random G(n, m) rungs with n = 100-200")
     parser.add_argument("--verdicts", action="store_true",
                         help="on the rungs, check the verdicts and models but not the counts")
+    parser.add_argument("--cliff", action="store_true",
+                        help="add the random rungs past the cliff: n=250 d4.6, n=300 d4.4 and n=300 d4.6, nonstrict")
+    parser.add_argument("--limit", type=float, default=10.0, metavar="S",
+                        help="CPU seconds each mdl.solve call may take before it counts as a timeout (default 10)")
+    parser.add_argument("--relabel", type=int, default=0, metavar="K",
+                        help="also solve each random rung under K seeded vertex permutations")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    if args.limit < 0 or args.relabel < 0:
+        parser.error("--limit and --relabel must be at least 0")
     trees = [load(args.old_root, "mdlsat_old"), load(args.new_root, "mdlsat_new")]
     if not check_front(trees, args.pairs, args.files):
         return 1
     print()
-    rungs = LADDER + (RANDOM if args.random else []) + (LARGE if args.large else [])
-    return 0 if check_search(trees, args.pairs, rungs, args.verdicts) else 1
+    randoms = (RANDOM if args.random else []) + (LARGE if args.large else []) + (CLIFF if args.cliff else [])
+    found = check_search(trees, args.pairs, LADDER + randoms, args.verdicts, args.limit)
+    if found is None:
+        return 1
+    if args.relabel and randoms:
+        print()
+        if not check_relabel(trees, randoms, found[len(LADDER):], args.relabel, args.limit):
+            return 1
+    return 0
 
 
 if __name__ == "__main__":

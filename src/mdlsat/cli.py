@@ -28,6 +28,7 @@ from .core import (
     SymbolTable,
     Term,
     parse_system,
+    read_int,
     render_constraint,
     render_system,
     satisfies,
@@ -235,9 +236,8 @@ def _read_model_lines(text: str, system: ConstraintSystem):
         name, value = parts[0], parts[2]
         if name not in system.symbols:
             continue
-        try:
-            value = int(value)
-        except ValueError:
+        value = read_int(value)
+        if value is None:
             continue
         if not 0 <= value < n:
             raise MdlError(f"model value {name} = {value} is outside [0, {n - 1}]")

@@ -348,6 +348,16 @@ def _rejected_line(m: re.Match, raw: str, line_no: int) -> ParseError:
 _SIGN = {"+": 1, "-": -1}
 
 
+def read_int(token: str) -> int | None:
+    """``token`` as an integer if it is spelled as the grammar's const, an
+    optional sign and ``str.isdecimal`` digits; None for any other spelling,
+    such as the '1_0' that ``int`` reads as 10, and for too many digits."""
+    try:
+        return int(token) if (token[1:] if token[:1] in _SIGN else token).isdecimal() else None
+    except ValueError:
+        return None
+
+
 def _read_tokens(raw: str, intern) -> Constraint | None:
     """The constraint of a line read as blank-separated tokens, or None.
 

@@ -354,6 +354,12 @@ def solve(system: ConstraintSystem) -> SolveOutcome:
         stamp[i] = next(clock)
         trail.append(lit)
 
+    def store(clause: tuple) -> tuple:
+        """File ``clause`` under each of its literals, the one way a clause enters ``occurs``; return it."""
+        for lit in clause:
+            occurs[lit].append(clause)
+        return clause
+
     def theory(lit: int) -> tuple | None:
         """Add the edges ``lit`` completes; a negative cycle comes back as a false clause, already stored."""
         here = stamp[lit >> 1]
@@ -366,10 +372,7 @@ def solve(system: ConstraintSystem) -> SolveOutcome:
                 cycle = engine.add(edge)
                 if cycle is not None:
                     # not all of the guards of the cycle's edges, kept like a learned clause
-                    clause = tuple(g ^ 1 for g in dict.fromkeys(g for e in cycle for g in e[3]))
-                    for c in clause:
-                        occurs[c].append(clause)
-                    return clause
+                    return store(tuple(g ^ 1 for g in dict.fromkeys(g for e in cycle for g in e[3])))
         return None
 
     def unit_propagate(lit: int) -> tuple | None:
@@ -423,8 +426,7 @@ def solve(system: ConstraintSystem) -> SolveOutcome:
             lits = [lit for lit in reason[uip >> 1] if lit != uip]
 
     for clause in lemmas:
-        for lit in clause:
-            occurs[lit].append(clause)
+        store(clause)
         if len(clause) == 1 and value[clause[0] >> 1] is None:
             assign(clause[0], 0, clause)
 
@@ -460,8 +462,7 @@ def solve(system: ConstraintSystem) -> SolveOutcome:
                     next_free = min(next_free, lit >> 1)
             bhead = thead = cut
             if set(learnt) != set(conflict):  # else the conflict is the clause, stored already
-                for lit in learnt:
-                    occurs[lit].append(learnt)
+                store(learnt)
             assign(learnt[0], back, learnt)
             continue
         while next_free < len(literals) and value[next_free] is not None:

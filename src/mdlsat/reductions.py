@@ -33,6 +33,7 @@ from .core import (
     SymbolTable,
     Term,
     _interned_system,
+    read_int,
 )
 
 
@@ -236,10 +237,9 @@ def parse_dimacs_graph(text: str) -> Graph:
                 raise ParseError("duplicate problem line", line_no)
             if len(parts) != 4 or parts[1] != "edge":
                 raise ParseError("expected 'p edge <n> <m>'", line_no)
-            try:
-                n, declared = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise ParseError("expected 'p edge <n> <m>'", line_no) from None
+            n, declared = read_int(parts[2]), read_int(parts[3])
+            if n is None or declared is None:
+                raise ParseError("expected 'p edge <n> <m>'", line_no)
             if n < 0 or declared < 0:
                 raise ParseError("negative counts in problem line", line_no)
             if n > MAX_VERTICES:
@@ -249,10 +249,9 @@ def parse_dimacs_graph(text: str) -> Graph:
                 raise ParseError("edge before problem line", line_no)
             if len(parts) != 3:
                 raise ParseError("expected 'e <u> <v>'", line_no)
-            try:
-                u, v = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise ParseError("expected 'e <u> <v>'", line_no) from None
+            u, v = read_int(parts[1]), read_int(parts[2])
+            if u is None or v is None:
+                raise ParseError("expected 'e <u> <v>'", line_no)
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ParseError(f"vertex out of range in edge ({u}, {v})", line_no)
             if u == v:
@@ -300,8 +299,7 @@ def parse_meta(text: str) -> tuple[Graph, Variant, Modulus]:
         variant = Variant(parts[2])
     except ValueError:
         raise ParseError(f"unknown variant {parts[2]!r}", 1) from None
-    try:
-        n = int(parts[4])
-    except ValueError:
-        raise ParseError(f"expected an integer modulus, got {parts[4]!r}", 1) from None
+    n = read_int(parts[4])
+    if n is None:
+        raise ParseError(f"expected an integer modulus, got {parts[4]!r}", 1)
     return parse_dimacs_graph(text), variant, Modulus(n)

@@ -9,7 +9,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import Phase
 
-from mdlsat import Graph
+from mdlsat.reductions import Graph
 
 #: Hypothesis phases for a test whose only input is an opaque seed: a failing
 #: seed is reported as drawn, since no smaller seed means anything.

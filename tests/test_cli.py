@@ -414,6 +414,26 @@ def test_decode_incomplete_model(tmp_path, capsys):
     assert out == ""
 
 
+def test_decode_reads_model_values_only_in_the_grammars_spelling(tmp_path, capsys):
+    """A sign and decimal digits, as a constant of the constraint grammar: a
+    value spelled '1_5', which int() reads as 15, is no value, and its line
+    is skipped like any other that is not a model line."""
+    graph_path = write(tmp_path, "k3.col", render_dimacs_graph(Graph.complete(3)))
+    prefix = str(tmp_path / "k3")
+    run(capsys, "reduce", graph_path, "--mod", "16", "--out", prefix)
+    solve_out = run(capsys, "solve", prefix + ".mdl")[1]
+    names = sorted(parse_system((tmp_path / "k3.mdl").read_text()).symbols.names)
+    values = {name: report_value(solve_out, name) for name in names}
+    top = next(name for name in names if values[name] == "15")
+    signed = "".join(f"{name} = +{values[name]}\n" for name in names)
+    assert run(capsys, "decode", prefix + ".meta", write(tmp_path, "signed.txt", signed))[0] == EXIT_OK
+    grouped = signed.replace(f"{top} = +15\n", f"{top} = 1_5\n")
+    code, out, err = run(capsys, "decode", prefix + ".meta", write(tmp_path, "grouped.txt", grouped))
+    assert code == EXIT_USAGE
+    assert f"lacks values for: {top}" in err
+    assert out == ""
+
+
 _META = "c variant nonstrict mod 16\np edge 2 1\ne 1 2\n"
 
 
@@ -426,10 +446,13 @@ _META = "c variant nonstrict mod 16\np edge 2 1\ne 1 2\n"
         _META.replace("nonstrict", "medium"),
         _META.replace("mod 16", "mod abc"),
         _META.replace("mod 16", "mod 1"),
+        _META.replace("mod 16", "mod 1_6"),
         _META.replace("nonstrict mod 16", "strict mod 8"),
         _META.replace("p edge 2 1", "p edge"),
         _META.replace("p edge 2 1", "p edge 2 2"),
         _META.replace("e 1 2", "e 1 5"),
+        _META.replace("p edge 2 1", "p edge 0_2 1"),
+        _META.replace("e 1 2", "e 1 0_2"),
         _META + "edge 0 1 5 a b\n",
     ],
     ids=[
@@ -439,10 +462,13 @@ _META = "c variant nonstrict mod 16\np edge 2 1\ne 1 2\n"
         "unknown-variant",
         "modulus-not-integer",
         "modulus-below-two",
+        "modulus-with-underscore",  # int() reads it as 16
         "modulus-too-small-for-strict",
         "bare-vertices",
         "edge-count-mismatch",
         "vertex-out-of-range",
+        "vertex-count-with-underscore",
+        "vertex-with-underscore",
         "edge-color-out-of-range",  # a line of the old format
     ],
 )

@@ -1,11 +1,11 @@
 """Every name a module of ``src/mdlsat``, a script of ``scripts/`` or a
 module of ``tests/`` imports is used in that file, only the CLI's ``main``
-writes stdout, every function the benchmark's tracer wraps exists, and
-importing the CLI stays cheap.
+writes stdout, every function the benchmark's tracer wraps exists,
+importing the CLI stays cheap, and ``mdlsat.core`` imports alone.
 
 No linter ships with the project, so this walks each file's syntax tree
-with the standard ``ast`` module.  ``__init__.py`` imports to re-export, and
-``from __future__`` imports switch on language features, so both are exempt.
+with the standard ``ast`` module.  ``from __future__`` imports switch on
+language features, so they are exempt.
 """
 
 import ast
@@ -34,7 +34,7 @@ def unused_imports(source: str) -> list:
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
-@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"], ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
@@ -113,3 +113,14 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     )
     child = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True, check=True)
     assert child.stdout.strip() == "[]"
+
+
+def test_importing_the_core_loads_no_other_module_of_the_package():
+    """The package root re-exports nothing, so a caller that needs only the
+    evaluator and the parser compiles and runs only ``mdlsat.core``."""
+    probe = (
+        f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); "
+        "import mdlsat.core; print(sorted(m for m in sys.modules if m.startswith('mdlsat')))"
+    )
+    child = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True, check=True)
+    assert child.stdout.strip() == "['mdlsat', 'mdlsat.core']"

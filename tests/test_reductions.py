@@ -235,6 +235,13 @@ def test_parse_dimacs_errors():
         parse_dimacs_graph("p edge 2 2\ne 1 2\n")  # count mismatch
     with pytest.raises(ParseError):
         parse_dimacs_graph("p edge 2 1\ne 1 3\n")  # out of range
+    # int() reads digit-group underscores; the format, like the constraint
+    # grammar, takes only an optional sign and decimal digits
+    with pytest.raises(ParseError):
+        parse_dimacs_graph("p edge 1_0 1\ne 1 1_0\n")
+    with pytest.raises(ParseError):
+        parse_dimacs_graph("p edge 2 1\ne 1 0_2\n")
+    assert parse_dimacs_graph("p edge +2 1\ne +1 2\n") == Graph(2, frozenset({(0, 1)}))
 
 
 def test_dimacs_round_trip():

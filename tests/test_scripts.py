@@ -206,3 +206,49 @@ def test_compare_verdicts_stops_where_a_model_fails(tmp_path):
     done = _compare(_mutant(tmp_path, "mdl.py", old, "model = dict.fromkeys(range(p), 0)\n    if False:"), "--verdicts")
     assert done.returncode == 1
     assert "C5 nonstrict: the new tree's model does not satisfy its system" in done.stderr
+
+
+def test_compare_limit_of_zero_times_out_every_rung():
+    # setitimer(..., 0) disarms a timer, so a limit of 0 must not mean no limit
+    done = _compare(ROOT, "--limit", "0")
+    assert done.returncode == 0, done.stderr
+    rows = _search_rows(done)
+    assert [row[:2] for row in rows][:2] == [["K4", "nonstrict"], ["K4", "strict"]]
+    assert all(row[2:] == ["timeout"] * 8 + ["-", "-"] for row in rows)
+
+
+_SPIN = ("    p = system.num_vars\n    literals, unguarded", "    while True:\n        pass\n    p = system.num_vars\n    literals, unguarded")
+
+
+def test_compare_stops_where_one_tree_reaches_the_limit(tmp_path):
+    done = _compare(_mutant(tmp_path, "mdl.py", *_SPIN), "--limit", "0.2")
+    assert done.returncode == 1
+    part = "verdict, decisions, conflicts, lemmas, adds and cycles"
+    assert f"K4 nonstrict: the trees differ in the {part} at item 0" in done.stderr
+    assert "old: UNSAT\n  new: timeout" in done.stderr
+
+
+def test_compare_verdicts_prints_where_one_tree_reaches_the_limit(tmp_path):
+    # a tree whose search never ends decides no rung; with --verdicts that
+    # is printed, not a failure, and no rung is timed
+    done = _compare(_mutant(tmp_path, "mdl.py", *_SPIN), "--limit", "0.2", "--verdicts")
+    assert done.returncode == 0, done.stderr
+    rows = _search_rows(done)
+    assert rows[0] == ["K4", "nonstrict", "UNSAT/timeout", "8/timeout", "9/timeout", "72/timeout", "238/timeout",
+                       "4/timeout", "15/timeout", "281/timeout", "-", "-"]
+    assert [row[2] for row in rows] == ["UNSAT/timeout"] * 3 + ["SAT/timeout"] * 3
+
+
+def test_compare_relabel_solves_each_random_rung_again():
+    done = _compare(ROOT, "--random", "--relabel", "1")
+    assert done.returncode == 0, done.stderr
+    _, search, relabelled = [table.splitlines()[1:] for table in done.stdout.split("\n\n")]
+    rungs = [row.split()[:4] for row in search[6:]]  # graph (two words), variant, verdict
+    assert [rung[:2] for rung in rungs] == [
+        ["n=40", "d4.6"], ["n=40", "d4.6"], ["n=60", "d4.0"], ["n=60", "d4.0"], ["n=60", "d4.6"]
+    ]
+    rows = [row.split() for row in relabelled]
+    assert [row[:4] for row in rows] == rungs
+    # one permutation is its own median and maximum, and one tree gives
+    # both sides the same decisions
+    assert all(row[4] == row[5] == row[6] == row[7] != "timeout" for row in rows)
