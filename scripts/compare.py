@@ -2,7 +2,7 @@
 """Check that two mdlsat trees give the same results in both readings, then time them.
 
     compare.py OLD_ROOT NEW_ROOT [FILE ...] [--pairs P] [--random] [--large] [--cliff]
-               [--verdicts] [--limit S] [--relabel K]
+               [--verdicts] [--relabel]
 
 Each ROOT is a checkout whose ``src/mdlsat`` is imported under a package
 name of its own, so both trees run in this one process.  Giving one tree
@@ -33,19 +33,19 @@ not prints ``-`` for them.  With ``--verdicts`` only the verdicts must be equal,
 change that moves the search can still be timed, and a count that differs
 is printed as OLD/NEW.
 
-Each ``mdl.solve`` call runs under a CPU limit of S seconds (``--limit``,
-10 by default; 0 gives no time at all).  A rung that reaches it prints
-``timeout`` for its counts and is not timed.  Both trees reaching it is no
-difference; one tree deciding where the other reaches it is a difference,
-and with ``--verdicts`` it is only printed, as ``UNSAT/timeout`` say.  A
-timed run that reaches the limit counts the CPU up to it.
+Each ``mdl.solve`` call runs under a CPU limit of ``LIMIT`` = 10 seconds.
+A rung that reaches it prints ``timeout`` for its counts and is not
+timed.  Both trees reaching it is no difference; one tree deciding where
+the other reaches it is a difference, and with ``--verdicts`` it is only
+printed, as ``UNSAT/timeout`` say.  A timed run that reaches the limit
+counts the CPU up to it.
 
-``--relabel K`` solves each random rung again under K vertex permutations,
-``random.Random(s).shuffle`` for s = 1..K, once per tree and permutation,
-and prints a third table of each tree's median and maximum decisions and
-CPU over them.  The graphs are isomorphic to the rung's, so each verdict
-must be the one that tree gave the rung, and each SAT model must satisfy
-its system; a timeout is exempt from the first check.
+``--relabel`` solves each random rung again under ``RELABELS`` = 8 vertex
+permutations, ``random.Random(s).shuffle`` for s = 1..8, once per tree and
+permutation, and prints a third table of each tree's median and maximum
+decisions and CPU over them.  The graphs are isomorphic to the rung's, so
+each verdict must be the one that tree gave the rung, and each SAT model
+must satisfy its system; a timeout is exempt from the first check.
 
 At the first difference the script names the file or rung, the part and
 its first differing item in both trees, and exits 1.  Otherwise it makes P
@@ -80,6 +80,8 @@ N = 2**32
 STAGES = ("parse", "relax", "solve")
 COUNTS = ("decisions", "conflicts", "lemmas", "adds", "cycles", "repairs", "scanned")
 TAIL = f"{'old_iqr':>8} {'ratio':>6} {'won':>7}"
+LIMIT = 10.0  # CPU seconds of one mdl.solve call
+RELABELS = 8  # vertex permutations of each random rung under --relabel
 
 
 def random_graph(n: int, degree: float):
@@ -194,16 +196,16 @@ def _expire(signum, frame):
 
 def decide(tree, system, limit: float):
     """``tree.mdl.solve(system)``, or None once it has taken ``limit`` CPU seconds."""
-    if limit <= 0:  # setitimer(..., 0) would disarm the timer, not expire it
-        return None
     previous = signal.signal(signal.SIGPROF, _expire)
-    signal.setitimer(signal.ITIMER_PROF, limit)
     try:
-        return tree.mdl.solve(system)
-    except TimeLimit:
+        signal.setitimer(signal.ITIMER_PROF, limit)
+        try:
+            return tree.mdl.solve(system)
+        finally:
+            signal.setitimer(signal.ITIMER_PROF, 0)
+    except TimeLimit:  # also one that fires after solve returned, before the timer is disarmed
         return None
     finally:
-        signal.setitimer(signal.ITIMER_PROF, 0)
         signal.signal(signal.SIGPROF, previous)
 
 
@@ -374,26 +376,22 @@ def main(argv=None):
                         help="on the rungs, check the verdicts and models but not the counts")
     parser.add_argument("--cliff", action="store_true",
                         help="add the random rungs past the cliff: n=250 d4.6, n=300 d4.4 and n=300 d4.6, nonstrict")
-    parser.add_argument("--limit", type=float, default=10.0, metavar="S",
-                        help="CPU seconds each mdl.solve call may take before it counts as a timeout (default 10)")
-    parser.add_argument("--relabel", type=int, default=0, metavar="K",
-                        help="also solve each random rung under K seeded vertex permutations")
+    parser.add_argument("--relabel", action="store_true",
+                        help=f"also solve each random rung under {RELABELS} seeded vertex permutations")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
-    if args.limit < 0 or args.relabel < 0:
-        parser.error("--limit and --relabel must be at least 0")
     trees = [load(args.old_root, "mdlsat_old"), load(args.new_root, "mdlsat_new")]
     if not check_front(trees, args.pairs, args.files):
         return 1
     print()
     randoms = (RANDOM if args.random else []) + (LARGE if args.large else []) + (CLIFF if args.cliff else [])
-    found = check_search(trees, args.pairs, LADDER + randoms, args.verdicts, args.limit)
+    found = check_search(trees, args.pairs, LADDER + randoms, args.verdicts, LIMIT)
     if found is None:
         return 1
     if args.relabel and randoms:
         print()
-        if not check_relabel(trees, randoms, found[len(LADDER):], args.relabel, args.limit):
+        if not check_relabel(trees, randoms, found[len(LADDER):], RELABELS, LIMIT):
             return 1
     return 0
 

@@ -353,7 +353,7 @@ def read_int(token: str) -> int | None:
     optional sign and ``str.isdecimal`` digits; None for any other spelling,
     such as the '1_0' that ``int`` reads as 10, and for too many digits."""
     try:
-        return int(token) if (token[1:] if token[:1] in _SIGN else token).isdecimal() else None
+        return int(token) if token.isdecimal() or token[:1] in _SIGN and token[1:].isdecimal() else None
     except ValueError:
         return None
 
@@ -397,12 +397,12 @@ def _read_tokens(raw: str, intern) -> Constraint | None:
         lhs = new(Term, (intern(a), sign * int(digits)))
         if bsign is not None:
             rhs: Rhs = new(Term, (intern(b), bsign * int(bdigits)))
-        elif b.isdecimal() or b[0] in _SIGN and b[1:].isdecimal():
-            rhs = int(b)
         else:
-            rhs = new(Term, (intern(b), 0))
+            rhs = read_int(b)
+            if rhs is None:  # a name, or a number too long for int() that intern() refuses too
+                rhs = new(Term, (intern(b), 0))
     except (ValueError, MdlError):
-        return None  # a number too long for int(), or a name intern() refuses
+        return None  # a UINT too long for int(), or a name intern() refuses
     return new(Constraint, (lhs, rel, rhs))
 
 

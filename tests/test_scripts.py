@@ -9,8 +9,10 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+from conftest import time_limit
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -43,6 +45,13 @@ def _compare(new_root, *files, old_root=ROOT):
         text=True,
         timeout=120,
     )
+
+
+def _load_compare():
+    spec = importlib.util.spec_from_file_location("compare", ROOT / "scripts" / "compare.py")
+    compare = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(compare)
+    return compare
 
 
 def _mutant(tmp_path, module, old, new):
@@ -81,9 +90,7 @@ def test_compare_front_passes_the_repo_against_itself(self_run):
 
 
 def test_compare_front_reads_the_benchmarks_relaxation_files(monkeypatch):
-    spec = importlib.util.spec_from_file_location("compare", ROOT / "scripts" / "compare.py")
-    compare = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(compare)
+    compare = _load_compare()
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
     import workloads
 
@@ -208,30 +215,52 @@ def test_compare_verdicts_stops_where_a_model_fails(tmp_path):
     assert "C5 nonstrict: the new tree's model does not satisfy its system" in done.stderr
 
 
-def test_compare_limit_of_zero_times_out_every_rung():
-    # setitimer(..., 0) disarms a timer, so a limit of 0 must not mean no limit
-    done = _compare(ROOT, "--limit", "0")
+_SPIN = ("    p = system.num_vars\n    literals, unguarded", "    while True:\n        pass\n    p = system.num_vars\n    literals, unguarded")
+
+
+def _compare_here(monkeypatch, capsys, new_root, *args, old_root=ROOT, **constants):
+    """compare.py's main run in this process with its module constants
+    (LIMIT, RELABELS) set to ``constants``; the result reads as ``_compare``'s.
+    The two trees' modules are dropped after it, so that the next run
+    imports its trees afresh under the same package names."""
+    compare = _load_compare()
+    for name, value in constants.items():
+        monkeypatch.setattr(compare, name, value)
+    before = set(sys.modules)
+    try:
+        with time_limit(120.0):
+            code = compare.main([str(old_root), str(new_root), *args, "--pairs", "2"])
+    finally:
+        for name in set(sys.modules) - before:
+            if name.partition(".")[0] in ("mdlsat_old", "mdlsat_new"):
+                del sys.modules[name]
+    out, err = capsys.readouterr()
+    return SimpleNamespace(returncode=code, stdout=out, stderr=err)
+
+
+def test_compare_both_trees_reaching_the_limit_is_no_difference(tmp_path, monkeypatch, capsys):
+    # a tree whose search never ends, against itself: not even K4 is
+    # decided within the limit, and no rung is timed
+    mutant = _mutant(tmp_path, "mdl.py", *_SPIN)
+    done = _compare_here(monkeypatch, capsys, mutant, old_root=mutant, LIMIT=0.05)
     assert done.returncode == 0, done.stderr
     rows = _search_rows(done)
     assert [row[:2] for row in rows][:2] == [["K4", "nonstrict"], ["K4", "strict"]]
     assert all(row[2:] == ["timeout"] * 8 + ["-", "-"] for row in rows)
 
 
-_SPIN = ("    p = system.num_vars\n    literals, unguarded", "    while True:\n        pass\n    p = system.num_vars\n    literals, unguarded")
-
-
-def test_compare_stops_where_one_tree_reaches_the_limit(tmp_path):
-    done = _compare(_mutant(tmp_path, "mdl.py", *_SPIN), "--limit", "0.2")
+def test_compare_stops_where_one_tree_reaches_the_limit(tmp_path, monkeypatch, capsys):
+    done = _compare_here(monkeypatch, capsys, _mutant(tmp_path, "mdl.py", *_SPIN), LIMIT=0.2)
     assert done.returncode == 1
     part = "verdict, decisions, conflicts, lemmas, adds and cycles"
     assert f"K4 nonstrict: the trees differ in the {part} at item 0" in done.stderr
     assert "old: UNSAT\n  new: timeout" in done.stderr
 
 
-def test_compare_verdicts_prints_where_one_tree_reaches_the_limit(tmp_path):
+def test_compare_verdicts_prints_where_one_tree_reaches_the_limit(tmp_path, monkeypatch, capsys):
     # a tree whose search never ends decides no rung; with --verdicts that
     # is printed, not a failure, and no rung is timed
-    done = _compare(_mutant(tmp_path, "mdl.py", *_SPIN), "--limit", "0.2", "--verdicts")
+    done = _compare_here(monkeypatch, capsys, _mutant(tmp_path, "mdl.py", *_SPIN), "--verdicts", LIMIT=0.2)
     assert done.returncode == 0, done.stderr
     rows = _search_rows(done)
     assert rows[0] == ["K4", "nonstrict", "UNSAT/timeout", "8/timeout", "9/timeout", "72/timeout", "238/timeout",
@@ -239,8 +268,8 @@ def test_compare_verdicts_prints_where_one_tree_reaches_the_limit(tmp_path):
     assert [row[2] for row in rows] == ["UNSAT/timeout"] * 3 + ["SAT/timeout"] * 3
 
 
-def test_compare_relabel_solves_each_random_rung_again():
-    done = _compare(ROOT, "--random", "--relabel", "1")
+def test_compare_relabel_solves_each_random_rung_again(monkeypatch, capsys):
+    done = _compare_here(monkeypatch, capsys, ROOT, "--random", "--relabel", RELABELS=1)
     assert done.returncode == 0, done.stderr
     _, search, relabelled = [table.splitlines()[1:] for table in done.stdout.split("\n\n")]
     rungs = [row.split()[:4] for row in search[6:]]  # graph (two words), variant, verdict
