@@ -28,10 +28,9 @@ satisfy its system by that tree's ``satisfies``, and the verdict, the
 decisions, the conflicts, the static lemmas derived before the search, the
 engine's adds and the negative cycles they returned, and the model must be
 equal, and so must the engine's races (``repairs``) and the edges its
-searches read (``scanned``) where both trees count them; a tree that does
-not prints ``-`` for them.  With ``--verdicts`` only the verdicts must be equal, so a
-change that moves the search can still be timed, and a count that differs
-is printed as OLD/NEW.
+searches read (``scanned``).  With ``--verdicts`` only the verdicts must
+be equal, so a change that moves the search can still be timed, and a
+count that differs is printed as OLD/NEW.
 
 Each ``mdl.solve`` call runs under a CPU limit of ``LIMIT`` = 10 seconds.
 A rung that reaches it prints ``timeout`` for its counts and is not
@@ -296,17 +295,15 @@ def check_search(trees, pairs: int, rungs, verdicts: bool, limit: float):
         counts = [
             ("timeout",) * len(COUNTS) if o is None else
             (o.stats.nodes, o.stats.conflicts, o.stats.lemmas, o.stats.adds, o.stats.cycles,
-             getattr(o.stats, "repairs", "-"), getattr(o.stats, "scanned", "-"))
+             o.stats.repairs, o.stats.scanned)
             for o in outcomes
         ]
         parts = [
             {"verdict": (v,)} if verdicts else
-            {"verdict, decisions, conflicts, lemmas, adds and cycles": (v, *c[:5]), "model": _model(o and o.model)}
+            {"verdict, decisions, conflicts, lemmas, adds and cycles": (v, *c[:5]), "model": _model(o and o.model),
+             "repairs and scanned": c[5:]}
             for v, o, c in zip(found[-1], outcomes, counts)
         ]
-        if not verdicts and "-" not in counts[0] + counts[1]:  # an older tree may not count its engine's work
-            for part, c in zip(parts, counts):
-                part["repairs and scanned"] = c[5:]
         decided = None not in outcomes
         if (decided or not verdicts) and differ(rung, *parts):
             return None

@@ -6,8 +6,6 @@ side by side: one is satisfiable only with wraparound, one only over the
 integers, and one flips from an integer refutation to a modular model.
 """
 
-import argparse
-
 from mdlsat.cli import gen_chain, gen_idl_paper, gen_intro1
 from mdlsat.core import parse_system, render_constraint
 from mdlsat.idl import check_idl_cycle, relax_to_idl, solve_idl
@@ -38,13 +36,8 @@ def describe(title, text):
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--mod", type=int, default=16, help="modulus for the first pair")
-    parser.add_argument("--chain", type=int, default=5, help="chain length / modulus for the second")
-    args = parser.parse_args()
-
-    describe("satisfiable only with wraparound", gen_intro1(args.mod))
-    describe("satisfiable only over the integers", gen_chain(args.chain))
+    describe("satisfiable only with wraparound", gen_intro1(16))
+    describe("satisfiable only over the integers", gen_chain(5))
     describe("negative cycle that wraparound dissolves", gen_idl_paper(10))
 
 

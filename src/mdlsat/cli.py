@@ -129,20 +129,11 @@ def cmd_solve(args) -> tuple[int, str]:
     with open(args.file, encoding="utf-8") as handle:
         system = parse_system(handle.read())
     started = time.monotonic()
-    if args.oracle:
-        outcome = mdl.brute_force_sat(system, budget=args.budget)
-    else:
-        outcome = mdl.solve(system)
+    outcome = mdl.brute_force_sat(system) if args.oracle else mdl.solve(system)
     domain = mdl.small_model_bound(system)
     model = outcome.model
-    if outcome.sat and not satisfies(system, model):
-        raise mdl.SelfCheckError("internal error: reported model fails re-evaluation")
-    # Neither model needs packing.  ``solve``'s lies in the bounded domain by
-    # construction (see its docstring).  Brute force's is the
-    # lexicographically first model; a packing step lowers every value of one
-    # cluster and keeps a solution, so it would give an earlier model.  No
-    # step applies, and a fixed point of packing lies in the domain by the
-    # paper's bound.  Every SAT model is checked; --normalize only says so.
+    # A model of either method lies in D: ``solve``'s by construction, and brute force's
+    # because it is the lexicographically first, where outside D packing would give an earlier one.
     if outcome.sat and not all(v in domain for v in model.values()):
         raise mdl.SelfCheckError("internal error: model lies outside the bounded domain")
     report = [
@@ -287,6 +278,14 @@ def cmd_gen(args) -> tuple[int, str]:
 # --- argument wiring --------------------------------------------------------
 
 
+def _integer(text: str) -> int:
+    """An integer option in the file grammar's spelling, less the blanks a split would drop."""
+    value = read_int(text.strip())
+    if value is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return value
+
+
 @functools.cache  # built on the first ``main`` call, then kept: a parse leaves it unchanged
 def _build_parser() -> _Parser:
     parser = _Parser(prog="mdlsat", description=__doc__)
@@ -297,13 +296,12 @@ def _build_parser() -> _Parser:
     solve.add_argument("--oracle", action="store_true", help="exhaustive enumeration instead of search")
     solve.add_argument("--relax", action="store_true", help="also report the integer-relaxation verdict")
     solve.add_argument("--normalize", action="store_true", help="print normalized = yes for a SAT model")
-    solve.add_argument("--budget", type=int, default=mdl.BRUTE_FORCE_BUDGET, help="assignment budget for --oracle")
     solve.set_defaults(func=cmd_solve)
 
     reduce_ = sub.add_parser("reduce", help="encode a DIMACS graph's 3-colorability")
     reduce_.add_argument("graph")
     reduce_.add_argument("--variant", choices=["nonstrict", "strict"], default="nonstrict")
-    reduce_.add_argument("--mod", type=int, required=True)
+    reduce_.add_argument("--mod", type=_integer, required=True)
     reduce_.add_argument("--out", required=True, help="output prefix for .mdl and .meta")
     reduce_.set_defaults(func=cmd_reduce)
 
@@ -314,11 +312,11 @@ def _build_parser() -> _Parser:
 
     gen = sub.add_parser("gen", help="emit a named or random instance")
     gen.add_argument("kind", choices=["intro1", "idl-paper", "chain", "random"])
-    gen.add_argument("--mod", type=int, default=None)
-    gen.add_argument("--vars", type=int, default=3)
-    gen.add_argument("--cons", type=int, default=5)
-    gen.add_argument("--m", type=int, default=2)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--mod", type=_integer, default=None)
+    gen.add_argument("--vars", type=_integer, default=3)
+    gen.add_argument("--cons", type=_integer, default=5)
+    gen.add_argument("--m", type=_integer, default=2)
+    gen.add_argument("--seed", type=_integer, default=0)
     gen.add_argument("--out", default=None)
     gen.set_defaults(func=cmd_gen)
     return parser

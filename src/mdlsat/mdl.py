@@ -38,7 +38,7 @@ from .core import Assignment, ConstraintSystem, MdlError, Term, eval_system
 from .idl import ORIENTED, DiffEngine
 
 
-#: The most assignments ``brute_force_sat`` enumerates unless told otherwise.
+#: The most assignments ``brute_force_sat`` enumerates.
 BRUTE_FORCE_BUDGET = 10_000_000
 
 
@@ -104,17 +104,17 @@ def small_model_bound(system: ConstraintSystem) -> DomainBound:
     return DomainBound(b, system.modulus.n)
 
 
-def brute_force_sat(system: ConstraintSystem, budget: int = BRUTE_FORCE_BUDGET) -> SolveOutcome:
+def brute_force_sat(system: ConstraintSystem) -> SolveOutcome:
     """Enumerate all N^p assignments in lexicographic order.
 
     Returns the first satisfying assignment, or UNSAT after seeing them all.
-    Refuses to start when N^p exceeds the budget.
+    Refuses to start when N^p exceeds ``BRUTE_FORCE_BUDGET``.
     """
     n = system.modulus.n
     p = system.num_vars
     # n >= 2, so n^p exceeds the budget once p exceeds the budget's bit length
-    if n ** min(p, budget.bit_length()) > budget:
-        raise BudgetExceededError(f"N^p = {n}^{p} assignments exceed the budget of {budget}")
+    if n ** min(p, BRUTE_FORCE_BUDGET.bit_length()) > BRUTE_FORCE_BUDGET:
+        raise BudgetExceededError(f"N^p = {n}^{p} assignments exceed the budget of {BRUTE_FORCE_BUDGET}")
     count = 0
     for values in itertools.product(range(n), repeat=p):
         count += 1

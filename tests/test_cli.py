@@ -5,12 +5,13 @@ import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from conftest import is_three_colorable, time_limit
 from hypothesis import given, settings, strategies as st
 
-from mdlsat import cli, idl, mdl
+from mdlsat import cli, core, idl, mdl
 from mdlsat.cli import (
     EXIT_INTERNAL,
     EXIT_OK,
@@ -190,7 +191,7 @@ def test_solve_missing_file(capsys):
 
 def test_solve_oracle_budget_exceeded(tmp_path, capsys):
     path = write(tmp_path, "big.mdl", gen_chain(8))
-    code, out, err = run(capsys, "solve", path, "--oracle", "--budget", "1000")
+    code, out, err = run(capsys, "solve", path, "--oracle")  # 8^9 > 10^7 assignments
     assert code == EXIT_USAGE
     assert "budget" in err
     assert out == ""
@@ -260,14 +261,18 @@ def test_failed_relaxation_certificate_check_prints_nothing(tmp_path, capsys, mo
     assert out == ""
 
 
-def test_failed_oracle_model_check_prints_nothing(tmp_path, capsys, monkeypatch):
-    non_model = SolveOutcome(True, {0: 0}, SearchStats("enumeration", 1))
-    monkeypatch.setattr(mdl, "brute_force_sat", lambda system, budget: non_model)
+@pytest.mark.parametrize("flags", [(), ("--oracle",)], ids=["search", "oracle"])
+def test_solve_evaluates_each_assignment_once(tmp_path, capsys, monkeypatch, flags):
+    # each method re-evaluates its own model, and the CLI does not again: the
+    # search evaluates only its model, enumeration each assignment it tries
+    calls = []
+    for module in (core, mdl):
+        real = module.eval_system
+        monkeypatch.setattr(module, "eval_system", lambda *args, real=real: calls.append(args) or real(*args))
     path = write(tmp_path, "intro1.mdl", gen_intro1(16))
-    code, out, err = run(capsys, "solve", path, "--oracle")
-    assert code == EXIT_INTERNAL
-    assert "internal error" in err
-    assert out == ""
+    code, out, _ = run(capsys, "solve", path, *flags)
+    assert code == EXIT_SAT
+    assert len(calls) == (int(report_value(out, "nodes")) if flags else 1)
 
 
 def test_model_outside_the_domain_fails_without_normalize(tmp_path, capsys, monkeypatch):
@@ -284,6 +289,13 @@ def test_model_outside_the_domain_fails_without_normalize(tmp_path, capsys, monk
 def test_usage_error_is_exit_1(capsys):
     code, _, err = run(capsys, "frobnicate")
     assert code == EXIT_USAGE
+
+
+def test_solve_has_no_budget_option(tmp_path, capsys):
+    path = write(tmp_path, "intro1.mdl", gen_intro1(16))
+    code, out, err = run(capsys, "solve", path, "--oracle", "--budget", "5")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: unrecognized arguments: --budget 5\n"
 
 
 # --- reduce / decode pipeline -------------------------------------------------
@@ -307,6 +319,15 @@ def test_reduce_modulus_too_small(tmp_path, capsys):
     assert code == EXIT_USAGE
     assert "modulus" in err
     assert out == ""
+
+
+def test_reduce_reads_its_modulus_in_the_grammars_spelling(tmp_path, capsys):
+    # int() reads the digit groups of 1_6 as 16; the constraint grammar refuses them
+    graph_path = write(tmp_path, "k3.col", render_dimacs_graph(Graph.complete(3)))
+    code, out, err = run(capsys, "reduce", graph_path, "--mod", "1_6", "--out", str(tmp_path / "k3"))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: argument --mod: invalid int value: '1_6'\n"
+    assert not (tmp_path / "k3.mdl").exists()
 
 
 def test_reduce_empty_graph(tmp_path, capsys):
@@ -554,6 +575,20 @@ def test_gen_random_cli_deterministic(capsys):
     assert a == b == gen_random(3, 5, 2, 12, 7)
 
 
+@pytest.mark.parametrize(
+    "spelling, expected",
+    [
+        ("+10", (EXIT_OK, gen_random(3, 5, 2, 12, 10), "")),
+        (" 10 ", (EXIT_OK, gen_random(3, 5, 2, 12, 10), "")),
+        ("\u0661\u0660", (EXIT_OK, gen_random(3, 5, 2, 12, 10), "")),
+        ("1_0", (EXIT_USAGE, "", "error: argument --seed: invalid int value: '1_0'\n")),
+    ],
+    ids=["sign", "blanks", "arabic-indic", "underscore"],
+)
+def test_gen_reads_its_integers_in_the_grammars_spelling(capsys, spelling, expected):
+    assert run(capsys, "gen", "random", "--seed", spelling) == expected
+
+
 @pytest.mark.parametrize("bad", [("--vars", "0"), ("--cons", "-1"), ("--m", "-1")])
 def test_gen_random_rejects_impossible_arguments(capsys, bad):
     code, out, err = run(capsys, "gen", "random", *bad)
@@ -624,14 +659,15 @@ _SOLVE_FLAGS = [
     ("--normalize",),
     ("--relax",),
     ("--normalize", "--relax"),
-    ("--oracle", "--normalize", "--budget", "100000"),
+    ("--oracle", "--normalize"),
 ]
 
 
 @given(mdl_texts(), st.sampled_from(_SOLVE_FLAGS))
 @settings(max_examples=150, deadline=None)
 def test_fuzz_solve(text, flags):
-    with tempfile.TemporaryDirectory() as tmp:
+    # monkeypatch is function-scoped, which Hypothesis refuses
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(mdl, "BRUTE_FORCE_BUDGET", 100_000):
         path = Path(tmp) / "f.mdl"
         path.write_text(text)
         code, out, _ = call("solve", path, *flags)

@@ -1,7 +1,8 @@
 """Every name a module of ``src/mdlsat``, a script of ``scripts/`` or a
 module of ``tests/`` imports is used in that file, only the CLI's ``main``
-writes stdout, every function the benchmark's tracer wraps exists,
-importing the CLI stays cheap, and ``mdlsat.core`` imports alone.
+writes stdout, no CLI option reads its value with ``int``, every function
+the benchmark's tracer wraps exists, importing the CLI stays cheap, and
+``mdlsat.core`` imports alone.
 
 No linter ships with the project, so this walks each file's syntax tree
 with the standard ``ast`` module.  ``from __future__`` imports switch on
@@ -77,6 +78,26 @@ def test_the_check_sees_every_stdout_writer():
         "    def g():\n        print('z')\n"
     )
     assert stdout_writers(source) == [None, "f", "g"]
+
+
+def int_options(source: str) -> list:
+    """The line of each ``add_argument`` call in ``source`` that passes ``type=int``."""
+    return [
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "add_argument"
+        and any(k.arg == "type" and isinstance(k.value, ast.Name) and k.value.id == "int" for k in node.keywords)
+    ]
+
+
+def test_no_cli_option_reads_its_value_with_int():
+    """``int`` reads spellings the file grammar refuses, such as the digit
+    groups of 1_6, so the CLI's integer options go through ``read_int``."""
+    assert int_options((ROOT / "src" / "mdlsat" / "cli.py").read_text()) == []
+
+
+def test_the_check_sees_every_int_option():
+    source = "p.add_argument('--a', type=int)\np.add_argument('--b', type=read)\nq.add_argument('c', default=1, type=int)\n"
+    assert int_options(source) == [1, 3]
 
 
 #: functions deleted from ``src/`` that ``bench/spans.py`` still wraps; the

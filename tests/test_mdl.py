@@ -7,6 +7,7 @@ from cluster_packing import V_MAX, V_MIN, NotASolutionError, compute_clusters, l
 from conftest import SEED_PHASES, is_three_colorable, petersen, time_limit
 from hypothesis import given, settings, strategies as st
 
+from mdlsat import mdl
 from mdlsat.cli import gen_chain, gen_idl_paper, gen_random
 from mdlsat.core import (
     Constraint,
@@ -47,11 +48,12 @@ def test_brute_force_empty_system():
     assert out.sat and out.model == {}
 
 
-def test_brute_force_budget():
+def test_brute_force_budget(monkeypatch):
     system = parse_system("mod 10\n" + "\n".join(f"x{i} <= x{i+1}" for i in range(7)) + "\n")
     with pytest.raises(BudgetExceededError):
-        brute_force_sat(system, budget=10**7)
-    brute_force_sat(system, budget=10**8)
+        brute_force_sat(system)  # 10^8 assignments, over the budget of 10^7
+    monkeypatch.setattr(mdl, "BRUTE_FORCE_BUDGET", 10**8)
+    brute_force_sat(system)
 
 
 # --- bounded candidate domain -----------------------------------------------
@@ -747,7 +749,7 @@ def test_normalize_intermediate_steps_stay_solutions():
     for seed in range(300):
         n = rng.randint(6, 40)
         system = parse_system(gen_random(3, 3, 1, n, seed))
-        out = brute_force_sat(system, budget=10**6)
+        out = brute_force_sat(system)
         if not out.sat:
             continue
         # start from a random model so packing has work to do

@@ -147,17 +147,6 @@ def test_compare_stops_where_the_engine_work_differs(tmp_path):
     assert "K4 nonstrict: the trees differ in the repairs and scanned at item 0" in done.stderr
 
 
-def test_compare_prints_a_dash_for_the_counts_an_old_tree_lacks(tmp_path):
-    # an old tree whose search stats have no repairs or scanned field
-    fields = "    repairs: int = 0\n    steps: int = 0\n    scanned: int = 0\n"
-    old = _mutant(tmp_path, "mdl.py", fields, fields.replace("repairs", "races").replace("scanned", "read"))
-    done = _compare(ROOT, old_root=old)
-    assert done.returncode == 0, done.stderr
-    rows = _search_rows(done)
-    assert rows[0][:10] == ["K4", "nonstrict", "UNSAT", "8", "9", "72", "238", "4", "-/15", "-/281"]
-    assert all(row[8].startswith("-/") and row[9].startswith("-/") for row in rows)
-
-
 def test_compare_stops_where_the_certificates_differ(tmp_path):
     # a tree that rotates each negative cycle to its largest vertex returns
     # the same verdict with the same edges, in another order
